@@ -32,7 +32,9 @@ from .operators import (
     SpectralMeasure,
     assemble,
     coefficients,
+    decay_factors,
     eigendecompose,
+    kernel_sum,
     shift_by_potential,
     spectral_measure,
 )
@@ -105,7 +107,7 @@ __all__ = [
     "dirichlet_energy",
     "OperatorRep", "SpectralData", "SpectralMeasure", "assemble",
     "eigendecompose", "shift_by_potential", "coefficients",
-    "spectral_measure",
+    "spectral_measure", "decay_factors", "kernel_sum",
     "SemigroupMethod", "SPECTRAL", "SCALING_SQUARING", "KRYLOV",
     "HeatKernel", "apply", "heat_kernel", "kernel_column",
     "kernel_symmetry_defect", "chapman_kolmogorov_defect", "pade13_expm",

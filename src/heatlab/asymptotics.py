@@ -15,6 +15,11 @@ underflow.  The headline limits realized below:
   positive ground state, at rate e^{-(E1 - E0) t}.
 * e^{-tL} is entrywise positive for some (all) t > 0 exactly when the
   graph is connected.
+
+The linear-scale sums (kernels, diagonal profiles, residuals) weight each
+atom by :func:`~heatlab.operators.decay_factors`; a factor below the
+normal floating range counts as exactly zero, and such atoms are left out
+of the kernel products altogether.
 """
 from __future__ import annotations
 
@@ -36,7 +41,9 @@ from .operators import (
     OperatorRep,
     SpectralData,
     coefficients,
+    decay_factors,
     eigendecompose,
+    kernel_sum,
 )
 from .semigroup import SCALING_SQUARING, heat_kernel, pade13_expm, resolvent
 
@@ -277,12 +284,6 @@ class GroundStateProfile:
     is_eigenvalue_detected: bool
 
 
-def _scaled_kernel(sd: SpectralData, t: float) -> np.ndarray:
-    """e^{t E0} p_t as a matrix; exponents are all <= 0, so this is safe."""
-    decay = np.exp(np.maximum(-t * (sd.eigenvalues - sd.E0), -745.0))
-    return (sd.vectors * decay) @ sd.vectors.T
-
-
 def groundstate_limit(op: OperatorRep, grid,
                       detection_threshold: float = 1e-6) -> GroundStateProfile:
     """Ground-state profile and factorization residuals along the grid.
@@ -290,6 +291,8 @@ def groundstate_limit(op: OperatorRep, grid,
     The residuals are required to decay like e^{-(E1-E0) t}: each one is
     checked against 10 * C * e^{-(E1-E0)(t-2)} with the constant C
     calibrated from the kernel functions as e^{2 E0} max_x p_2(x, x).
+    Atoms whose factor e^{-t(E_i - E0)} falls below the normal floating
+    range count as exactly zero (see :func:`heatlab.operators.kernel_sum`).
 
     Raises
     ------
@@ -307,19 +310,19 @@ def groundstate_limit(op: OperatorRep, grid,
         if gap <= 1e-8 * (1.0 + abs(sd.E0)):
             raise NoSpectralGap(f"E1 - E0 = {gap:.2e} is below resolution")
     diag_profiles = []
+    squares = sd.vectors ** 2
     for t in grid.times:
-        decay = np.exp(np.maximum(-t * (sd.eigenvalues - sd.E0), -745.0))
-        diag_profiles.append(np.sqrt((sd.vectors ** 2) @ decay))
+        decay = decay_factors(sd.eigenvalues, t, sd.E0)
+        diag_profiles.append(np.sqrt(squares @ decay))
     history = np.array(diag_profiles)
     Phi = history[-1]
     outer = np.outer(Phi, Phi)
     residuals = np.array([
-        np.max(np.abs(_scaled_kernel(sd, t) - outer)) for t in grid.times
+        np.max(np.abs(kernel_sum(sd, t, sd.E0) - outer)) for t in grid.times
     ])
     if op.n > 1:
         # decay envelope, constant calibrated from the kernel functions g_x
-        p2_diag = (sd.vectors ** 2) @ np.exp(
-            np.maximum(-2.0 * (sd.eigenvalues - sd.E0), -745.0))
+        p2_diag = squares @ decay_factors(sd.eigenvalues, 2.0, sd.E0)
         C = float(np.max(p2_diag))
         envelope = 10.0 * C * np.exp(
             np.minimum(-gap * (grid.times - 2.0), 700.0))
@@ -351,7 +354,7 @@ def eigenvalue_detector(op: OperatorRep, x, grid,
     sd = eigendecompose(op)
     ix = op.graph.vertex_index(x)
     t = grid.times[-1]
-    decay = np.exp(np.maximum(-t * (sd.eigenvalues - sd.E0), -745.0))
+    decay = decay_factors(sd.eigenvalues, t, sd.E0)
     phi_t = np.sqrt(np.sum(sd.vectors[ix, :] ** 2 * decay))
     return bool(phi_t > threshold)
 
@@ -372,7 +375,7 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
     exc_energies = sd.eigenvalues[stop:]
     residuals = np.empty(len(grid.times))
     for j, t in enumerate(grid.times):
-        decay = np.exp(np.maximum(-2.0 * t * (exc_energies - sd.E0), -745.0))
+        decay = decay_factors(exc_energies, 2.0 * t, sd.E0)
         residuals[j] = np.sqrt(np.sum(exc_coeff ** 2 * decay))
     return residuals
 

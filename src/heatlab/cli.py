@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +58,7 @@ from .counterexample import closed_orbit, counterexample_rate, shift_model, shif
 from .metric_graphs import discretize, load_metric_graph
 from .verify import run_suite
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _METHODS = {"spectral": SPECTRAL, "expm": SCALING_SQUARING, "krylov": KRYLOV}
 
@@ -112,20 +111,6 @@ verify.json: {"seed": int, "passed": bool, "sections": [{"name",
   "passed", "checks", "reports": [...]}]}  -- timing fields are
 stripped so identical seeds give byte-identical artifacts.""",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, inputs, grid, method, seed, output."""
-
-    command: str
-    graph: str | None
-    t0: float
-    ratio: float
-    count: int
-    method: str
-    out: Path
-    seed: int
 
 
 def _fmt(x: float) -> str:
@@ -429,10 +414,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--graph", help="input graph JSON")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="artifact directory (default: .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (fallback: HEATLAB_SEED, then 0)")
-        p.add_argument("--method", choices=sorted(_METHODS),
-                       default="spectral")
         p.add_argument("--schema", action="store_true",
                        help="print artifact schema and exit")
         if grid:
@@ -444,6 +425,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kernel")
     common(p, grid=False)
     p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--method", choices=sorted(_METHODS), default="spectral")
     p = sub.add_parser("rate")
     common(p)
     p.add_argument("--f", default="ones")
@@ -480,7 +462,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--mesh", type=float, default=None)
     p.add_argument("--then", nargs=argparse.REMAINDER, default=None,
                    help="subcommand to run on the discretized graph")
-    common(sub.add_parser("verify"), grid=False)
+    p = sub.add_parser("verify")
+    common(p, grid=False)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed (fallback: HEATLAB_SEED, then 0)")
     return parser
 
 

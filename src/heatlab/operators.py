@@ -33,6 +33,8 @@ __all__ = [
     "SpectralData",
     "SpectralMeasure",
     "assemble",
+    "decay_factors",
+    "kernel_sum",
     "shift_by_potential",
     "eigendecompose",
     "coefficients",
@@ -143,6 +145,33 @@ class SpectralData:
         }
 
 
+def decay_factors(eigenvalues, t: float, shift: float = 0.0) -> np.ndarray:
+    """Decay factors e^{-t (E_i - shift)} of the spectral atoms.
+
+    Factors below the normal floating range (``np.finfo(float).tiny``)
+    are set to exactly 0: each adds at most |phi_i(x) phi_i(y)| 2^-1022
+    to a kernel entry, and arithmetic on subnormal operands is slow.  For
+    ascending eigenvalues and t > 0 the nonzero factors form a prefix.
+    """
+    decay = np.exp(-t * (np.asarray(eigenvalues, dtype=float) - shift))
+    decay[decay < np.finfo(float).tiny] = 0.0
+    return decay
+
+
+def kernel_sum(sd: SpectralData, t: float, shift: float = 0.0) -> np.ndarray:
+    """sum_i phi_i phi_i^T e^{-t (E_i - shift)} as an n x n matrix.
+
+    Only the atoms with a nonzero :func:`decay_factors` factor enter, so
+    the product is rank k with k the length of that prefix; the dropped
+    atoms change no entry by more than n max|phi|^2 2^-1022.  With
+    shift 0 this is the heat kernel p_t.
+    """
+    decay = decay_factors(sd.eigenvalues, t, shift)
+    k = int(np.count_nonzero(decay))
+    live = sd.vectors[:, :k]
+    return (live * decay[:k]) @ live.T
+
+
 def _group_eigenvalues(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     groups = []
     start = 0
@@ -184,11 +213,11 @@ def eigendecompose(op: OperatorRep) -> SpectralData:
         raise EigensolverFailure(str(exc)) from exc
     phi = U / np.sqrt(op.m)[:, None]
     # sign convention: first coordinate of nonnegligible size made positive
-    for i in range(phi.shape[1]):
-        col = phi[:, i]
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if lead.size and col[lead[0]] < 0:
-            phi[:, i] = -col
+    mag = np.abs(phi)
+    sizable = mag > 1e-12 * np.max(mag, axis=0)
+    lead = phi[np.argmax(sizable, axis=0), np.arange(phi.shape[1])]
+    flip = sizable.any(axis=0) & (lead < 0)
+    phi[:, flip] = -phi[:, flip]
     groups = _group_eigenvalues(w)
     g0, g1 = groups[0]
     ground = phi[:, g0:g1]

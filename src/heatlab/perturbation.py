@@ -195,20 +195,20 @@ def sv_limit(op: OperatorRep, V, t: float, f, ks) -> SvReport:
     for k in ks:
         cur = truncated_semigroup(op, values, k, t, f)
         if prev is not None:
-            gap = float(np.sqrt(np.sum((cur - prev) ** 2 * op.m)))
+            gap = op.norm(cur - prev)
             gaps.append(gap)
             if k_converged is None and gap < 1e-12:
                 k_converged = k
         prev = cur
     half_a = sg_apply(full, 0.3 * t, f)
     composed = sg_apply(full, 0.7 * t, half_a)
-    law_residual = float(np.sqrt(np.sum((composed - value) ** 2 * op.m)))
+    law_residual = op.norm(composed - value)
     taus = t * 0.5 ** np.arange(1, 11)
     cont_gaps = np.empty(len(taus))
     for j, tau in enumerate(taus):
         u_v = sg_apply(full, tau, f)
         u_free = sg_apply(op, tau, f)
-        cont_gaps[j] = np.sqrt(np.sum((u_v - f) ** 2 * op.m))
+        cont_gaps[j] = op.norm(u_v - f)
         lhs = np.sum((u_v - u_free) ** 2 * op.m)
         rhs = np.sum(u_v ** 2 * op.m) - np.sum(u_free ** 2 * op.m)
         scale = max(1.0, float(np.sum(f ** 2 * op.m)))
@@ -381,19 +381,19 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         backward = sg_apply(shifted, t - delta, f)
         du = (forward - backward) / (2.0 * delta)
         res = du + shifted.A @ u[j]
-        scale = float(np.sqrt(np.sum(u[j] ** 2 * op.m)))
-        residuals[j - 1] = np.sqrt(np.sum(res ** 2 * op.m)) / max(scale, 1e-300)
+        scale = op.norm(u[j])
+        residuals[j - 1] = op.norm(res) / max(scale, 1e-300)
 
     norm_f = op.norm(f)
     log_margins = np.empty(len(grid.times))
     for j, t in enumerate(grid.times):
-        norm_u = float(np.sqrt(np.sum(u[j] ** 2 * op.m)))
+        norm_u = op.norm(u[j])
         log_u = math.log(norm_u) if norm_u > 0 else -math.inf
         log_bound = (math.log(norm_f) if norm_f > 0 else -math.inf) - lam * t
         log_margins[j] = log_u - log_bound
     taus = grid.times[0] * 0.5 ** np.arange(1, 9)
     gaps = np.array([
-        float(np.sqrt(np.sum((sg_apply(shifted, tau, f) - f) ** 2 * op.m)))
+        op.norm(sg_apply(shifted, tau, f) - f)
         for tau in taus
     ])
     return ApproximatedSolution(times=grid.times, values=u, ladder=ladder,

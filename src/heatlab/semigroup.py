@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveTime,
     SingularShift,
 )
-from .operators import OperatorRep, eigendecompose
+from .operators import OperatorRep, eigendecompose, kernel_sum
 
 __all__ = [
     "SemigroupMethod",
@@ -231,7 +231,9 @@ def heat_kernel(op: OperatorRep, t: float,
                 method: SemigroupMethod | None = None) -> HeatKernel:
     """Full heat kernel matrix at time t > 0.
 
-    With the spectral method p_t = Phi e^{-t Lambda} Phi^T; with
+    With the spectral method p_t = Phi e^{-t Lambda} Phi^T, where
+    factors e^{-t E_i} below the normal floating range count as exactly
+    zero (see :func:`~heatlab.operators.kernel_sum`); with
     scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
@@ -240,8 +242,7 @@ def heat_kernel(op: OperatorRep, t: float,
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     method = method or SPECTRAL
     if method.tag == "spectral":
-        sd = eigendecompose(op)
-        p = (sd.vectors * np.exp(-t * sd.eigenvalues)) @ sd.vectors.T
+        p = kernel_sum(eigendecompose(op), t)
     elif method.tag == "scaling-squaring":
         E, _ = pade13_expm(-t * op.S)
         rs = np.sqrt(op.m)

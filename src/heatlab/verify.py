@@ -262,8 +262,7 @@ def contraction_section(seed: int = 0, count: int = 50) -> SectionResult:
             f = random_vector(rng, op.n)
             norm_f = op.norm(f)
             for t in (0.5, 2.0, 8.0):
-                shifted_norm = float(np.sqrt(np.sum(
-                    (np.exp(e0 * t) * apply(op, t, f)) ** 2 * op.m)))
+                shifted_norm = op.norm(np.exp(e0 * t) * apply(op, t, f))
                 yield OracleReport.compare(
                     f"contraction t={t} #{i}", 1.0,
                     max(shifted_norm / norm_f, 1.0), 1e-12, seed,

@@ -19,8 +19,14 @@ from heatlab.errors import (
     ValidationError,
     ZeroKernelEntry,
 )
-from heatlab.operators import eigendecompose, spectral_measure
-from heatlab.semigroup import apply
+from heatlab.metric_graphs import discretize, validate_metric_graph
+from heatlab.operators import (
+    coefficients,
+    decay_factors,
+    eigendecompose,
+    spectral_measure,
+)
+from heatlab.semigroup import apply, heat_kernel
 from heatlab.verify import random_graph, random_vector
 
 
@@ -171,6 +177,75 @@ def test_eigenvalue_detector_exhaustion_drains():
         sd = eigendecompose(op)
         values.append(sd.vectors[0, 0])
     assert values[0] > values[1] > values[2] > 0
+
+
+def _stiff_star():
+    """Discretized star with Dirichlet leaves at h = 0.02: ||S|| ~ 1e4."""
+    mg = validate_metric_graph({
+        "vertices": [{"id": "o"}] + [{"id": f"leaf{e}", "bc": "dirichlet"}
+                                     for e in range(3)],
+        "edges": [{"id": f"e{e}", "i": "o", "j": f"leaf{e}", "l": length}
+                  for e, length in enumerate((0.6, 0.8, 1.0))],
+    })
+    return assemble(discretize(mg, 0.02))
+
+
+def test_decay_factors_have_no_subnormals():
+    sd = eigendecompose(_stiff_star())
+    assert np.max(sd.eigenvalues) > 9e3
+    tiny = np.finfo(float).tiny
+    raw_subnormal = False
+    for t in TimeGrid.geometric(t0=0.1, ratio=1.5, count=16).times:
+        for shift in (0.0, sd.E0):
+            raw = np.exp(-t * (sd.eigenvalues - shift))
+            raw_subnormal |= bool(np.any((raw > 0) & (raw < tiny)))
+            decay = decay_factors(sd.eigenvalues, t, shift)
+            live = np.flatnonzero(decay)
+            assert np.all(decay[live] >= tiny)
+            npt.assert_array_equal(live, np.arange(live.size))
+            npt.assert_array_equal(decay[live], raw[live])
+    # the grid does cross the subnormal range of plain np.exp
+    assert raw_subnormal
+
+
+def test_spectral_sums_match_full_rank_reference(rng):
+    op = _stiff_star()
+    sd = eigendecompose(op)
+    V, E, E0 = sd.vectors, sd.eigenvalues, sd.E0
+    grid = TimeGrid.geometric(t0=0.1, ratio=2.0, count=11)
+    tol = 1e-13
+    kernels = [(V * np.exp(-t * (E - E0))) @ V.T for t in grid.times]
+    history = np.sqrt(np.array([np.diag(K) for K in kernels]))
+    outer = np.outer(history[-1], history[-1])
+    residuals = np.array([np.max(np.abs(K - outer)) for K in kernels])
+    kernel_scale = max(np.max(np.abs(K)) for K in kernels)
+
+    prof = groundstate_limit(op, grid)
+    npt.assert_allclose(prof.Phi, history[-1], rtol=0,
+                        atol=tol * np.max(history))
+    npt.assert_allclose(prof.Phi_t_history, history, rtol=0,
+                        atol=tol * np.max(history))
+    npt.assert_allclose(prof.residual_history, residuals, rtol=0,
+                        atol=tol * kernel_scale)
+
+    for x in ("o", "e0:1", "e2:49"):
+        phi_t = history[-1][op.graph.vertex_index(x)]
+        margin = tol * np.max(history)
+        assert eigenvalue_detector(op, x, grid, threshold=phi_t - margin)
+        assert not eigenvalue_detector(op, x, grid,
+                                       threshold=phi_t + margin)
+
+    f = rng.uniform(0.1, 1.0, op.n)
+    exc = coefficients(sd, f)[sd.groups[0][1]:]
+    want = np.array([np.sqrt(np.sum(exc ** 2 * np.exp(
+        -2.0 * t * (E[sd.groups[0][1]:] - E0)))) for t in grid.times])
+    npt.assert_allclose(strong_convergence_check(op, f, grid), want,
+                        rtol=0, atol=tol * np.max(want))
+
+    for t in (0.05, 0.1, 1.0, 10.0):
+        p_ref = (V * np.exp(-t * E)) @ V.T
+        npt.assert_allclose(heat_kernel(op, t).p, p_ref, rtol=0,
+                            atol=tol * np.max(np.abs(p_ref)))
 
 
 def test_strong_convergence_ground_vector(rng):

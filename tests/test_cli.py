@@ -227,6 +227,19 @@ def test_bad_input_exits_1(tmp_path, data_dir, capsys, argv):
     assert err["exit_code"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--graph", "DATA/path3.json", "--method", "krylov"],
+    ["groundstate", "--graph", "DATA/path3.json", "--seed", "3"],
+])
+def test_flags_only_on_their_subcommand(tmp_path, data_dir, capsys, argv):
+    # --method belongs to kernel alone, --seed to verify alone
+    argv = [a.replace("DATA", str(data_dir)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_schema_flag_prints_without_artifacts(tmp_path, capsys):
     assert main(["rate", "--schema", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

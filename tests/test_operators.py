@@ -1,10 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from heatlab import assemble, build_graph, dirichlet_energy
 from heatlab.errors import ZeroVector
 from heatlab.operators import (
+    OperatorRep,
     coefficients,
     eigendecompose,
     shift_by_potential,
@@ -98,22 +100,63 @@ def test_perron_ground_state(rng):
         assert sd.groups[0] == (0, 1)
 
 
-def test_disconnected_direct_sum_spectrum(rng):
-    g1 = random_graph(rng, n_max=10)
-    g2 = random_graph(rng, n_max=10)
+def _disjoint_union(g1, g2):
     verts = [f"L{v}" for v in g1.vertices] + [f"R{v}" for v in g2.vertices]
     edges = ([(f"L{g1.vertices[i]}", f"L{g1.vertices[j]}", w)
               for i, j, w in g1.edges]
              + [(f"R{g2.vertices[i]}", f"R{g2.vertices[j]}", w)
                 for i, j, w in g2.edges])
-    g = build_graph(verts, edges,
-                    m=np.concatenate([g1.m, g2.m]),
-                    c=np.concatenate([g1.c, g2.c]))
-    ev = eigendecompose(assemble(g)).eigenvalues
+    return build_graph(verts, edges,
+                       m=np.concatenate([g1.m, g2.m]),
+                       c=np.concatenate([g1.c, g2.c]))
+
+
+def test_disconnected_direct_sum_spectrum(rng):
+    g1 = random_graph(rng, n_max=10)
+    g2 = random_graph(rng, n_max=10)
+    ev = eigendecompose(assemble(_disjoint_union(g1, g2))).eigenvalues
     parts = np.sort(np.concatenate([
         eigendecompose(assemble(g1)).eigenvalues,
         eigendecompose(assemble(g2)).eigenvalues]))
     npt.assert_allclose(ev, parts, atol=1e-9)
+
+
+def _signed_by_loop(phi):
+    """Column-by-column sign convention: reference for the vectorized one."""
+    phi = phi.copy()
+    for i in range(phi.shape[1]):
+        col = phi[:, i]
+        lead = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+        if lead.size and col[lead[0]] < 0:
+            phi[:, i] = -col
+    return phi
+
+
+def test_eigenvector_signs_match_loop_reference(rng):
+    ops = []
+    for n in (1, 2, 7, 40, 120):
+        X = rng.standard_normal((n, n))
+        S = X + X.T
+        m = rng.uniform(0.5, 2.0, n)
+        # eigendecompose reads only S and m
+        ops.append(OperatorRep(n=n, A=S, S=S, m=m, lower_bound=-np.inf))
+    # nearly decoupled blocks: leading entries below the 1e-12 cut
+    n = 30
+    S = scipy.linalg.block_diag(*(X + X.T for X in
+                                  rng.standard_normal((2, n, n))))
+    C = rng.standard_normal((2 * n, 2 * n))
+    S += 1e-15 * (C + C.T)
+    ops.append(OperatorRep(n=2 * n, A=S, S=S, m=np.ones(2 * n),
+                           lower_bound=-np.inf))
+    # eigenvectors of one component vanish on the other: leading zeros
+    ops += [assemble(_disjoint_union(random_graph(rng, n_max=10),
+                                     random_graph(rng, n_max=10)))
+            for _ in range(5)]
+    for op in ops:
+        _, U = scipy.linalg.eigh(op.S)
+        want = _signed_by_loop(U / np.sqrt(op.m)[:, None])
+        npt.assert_array_equal(eigendecompose(op).vectors, want)
+    assert any(np.any(eigendecompose(op).vectors[0] == 0.0) for op in ops)
 
 
 def test_variational_characterization(rng, single_edge_op):
