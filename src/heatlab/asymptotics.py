@@ -45,7 +45,7 @@ from .operators import (
     eigendecompose,
     kernel_sum,
 )
-from .semigroup import SCALING_SQUARING, heat_kernel, pade13_expm, resolvent
+from .semigroup import SCALING_SQUARING, heat_kernel, resolvent
 
 __all__ = [
     "TimeGrid",
@@ -196,7 +196,10 @@ def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
     The kernel functions g_x = p_1(x, .) are produced by the
     scaling-squaring evaluator while the left-hand side comes from the
     spectral expansion, so the identity genuinely ties two independent
-    paths together.
+    paths together.  That evaluator computes e^{-S} once per operator and
+    reuses it, so repeated calls on one operator share a single
+    exponential; other times are not cached (see
+    :func:`~heatlab.semigroup.heat_kernel`).
     """
     grid = _as_grid(grid)
     sd = eigendecompose(op)
@@ -383,15 +386,20 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
 def positivity_improving(op: OperatorRep) -> bool:
     """Entrywise positivity of e^{-L}, cross-checked two independent ways.
 
-    The verdict comes from the scaling-squaring exponential of -S; it is
-    cross-checked against entrywise positivity of the resolvent at
-    alpha = 1 - E0 and against graph connectivity.  Any disagreement
-    raises PositivityConnectivityMismatch, because for graphs these
-    three are provably the same thing.
+    The verdict comes from the scaling-squaring exponential e^{-S},
+    recovered from the unit-time kernel as p_1(x, y) sqrt(m(x) m(y)); the
+    threshold is applied to e^{-S}, not to p_1, whose scale depends on
+    m.  That exponential is computed once per operator and shared with
+    :func:`~heatlab.semigroup.heat_kernel` and the scaling-squaring
+    ``apply`` at t = 1; other times are not cached.  It is cross-checked against entrywise positivity
+    of the resolvent at alpha = 1 - E0 and against graph connectivity.
+    Any disagreement raises PositivityConnectivityMismatch, because for
+    graphs these three are provably the same thing.
     """
     if op.graph is None:
         raise ValueError("operator carries no graph; cannot cross-check")
-    E, _ = pade13_expm(-op.S)
+    rs = np.sqrt(op.m)
+    E = heat_kernel(op, 1.0, SCALING_SQUARING).p * np.outer(rs, rs)
     kernel_verdict = bool(np.min(E) > _POSITIVITY_TOL * np.max(E))
     sd = eigendecompose(op)
     R = resolvent(op, 1.0 - sd.E0)

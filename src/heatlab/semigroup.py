@@ -19,6 +19,7 @@ up to rounding and are never symmetrized by hand.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     NonPositiveTime,
     SingularShift,
 )
-from .operators import OperatorRep, eigendecompose, kernel_sum
+from .operators import OperatorRep, decay_factors, eigendecompose, kernel_sum
 
 __all__ = [
     "SemigroupMethod",
@@ -114,6 +115,28 @@ def pade13_expm(M: np.ndarray) -> tuple[np.ndarray, int]:
     for _ in range(squarings):
         F = F @ F
     return F, squarings
+
+
+_unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _exponential(op: OperatorRep, t: float) -> np.ndarray:
+    """e^{-tS} by :func:`pade13_expm`; read-only and kept per operator at t = 1.
+
+    Only t = 1 recurs inside the library (kernel functions, the
+    factorization identity, positivity), so one n x n matrix per live
+    operator is stored; every other time is computed afresh.
+    """
+    if t != 1.0:
+        return pade13_expm(-t * op.S)[0]
+    E = _unit_time_cache.get(op)
+    if E is None:
+        E, _ = pade13_expm(-t * op.S)
+        E.setflags(write=False)
+        _unit_time_cache[op] = E
+    return E
 
 
 def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int,
@@ -204,10 +227,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     if method.tag == "spectral":
         sd = eigendecompose(op)
         U = sd.vectors * rs[:, None]
-        ev = U @ (np.exp(-t * sd.eigenvalues) * (U.T @ v))
+        ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
     elif method.tag == "scaling-squaring":
-        E, _ = pade13_expm(-t * op.S)
-        ev = E @ v
+        ev = _exponential(op, t) @ v
     else:
         ev = _krylov_apply(op, t, v, method)
     return ev / rs
@@ -234,7 +256,11 @@ def heat_kernel(op: OperatorRep, t: float,
     With the spectral method p_t = Phi e^{-t Lambda} Phi^T, where
     factors e^{-t E_i} below the normal floating range count as exactly
     zero (see :func:`~heatlab.operators.kernel_sum`); with
-    scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}.  The Krylov method
+    scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}, where e^{-S} (t = 1)
+    is computed once per operator and reused by later calls, by the
+    scaling-squaring :func:`apply` at t = 1 and by the positivity and
+    kernel-factorization checks; other times are not cached.  The
+    returned ``p`` is always a fresh, writable array.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
     """
@@ -244,9 +270,8 @@ def heat_kernel(op: OperatorRep, t: float,
     if method.tag == "spectral":
         p = kernel_sum(eigendecompose(op), t)
     elif method.tag == "scaling-squaring":
-        E, _ = pade13_expm(-t * op.S)
         rs = np.sqrt(op.m)
-        p = E / np.outer(rs, rs)
+        p = _exponential(op, t) / np.outer(rs, rs)
     else:
         p = np.column_stack([kernel_column(op, t, y, method)
                              for y in range(op.n)])
@@ -329,7 +354,7 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     sd = eigendecompose(op)
     rs = np.sqrt(op.m)
     U = sd.vectors * rs[:, None]
-    decay = np.exp(-h * sd.eigenvalues)
+    decay = decay_factors(sd.eigenvalues, h)
     boost = np.exp(h * V)
     cur = f
     for _ in range(n):

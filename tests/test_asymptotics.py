@@ -26,7 +26,7 @@ from heatlab.operators import (
     eigendecompose,
     spectral_measure,
 )
-from heatlab.semigroup import apply, heat_kernel
+from heatlab.semigroup import apply, heat_kernel, pade13_expm, trotter
 from heatlab.verify import random_graph, random_vector
 
 
@@ -248,6 +248,24 @@ def test_spectral_sums_match_full_rank_reference(rng):
                             atol=tol * np.max(np.abs(p_ref)))
 
 
+def test_spectral_apply_matches_full_rank_reference(rng):
+    op = _stiff_star()
+    sd = eigendecompose(op)
+    tol = 1e-13
+    rs = np.sqrt(op.m)
+    U = sd.vectors * rs[:, None]
+    f = rng.uniform(-1.0, 1.0, op.n)
+    tiny = np.finfo(float).tiny
+    for t in (0.08, 0.1, 0.2):
+        raw = np.exp(-t * sd.eigenvalues)
+        assert np.any((raw > 0) & (raw < tiny))
+        want = (U @ (raw * (U.T @ (rs * f)))) / rs
+        atol = tol * np.max(np.abs(want))
+        npt.assert_allclose(apply(op, t, f), want, rtol=0, atol=atol)
+        npt.assert_allclose(trotter(op, np.zeros(op.n), t, 1, f), want,
+                            rtol=0, atol=atol)
+
+
 def test_strong_convergence_ground_vector(rng):
     op = assemble(random_graph(rng, n_max=15))
     sd = eigendecompose(op)
@@ -291,6 +309,32 @@ def test_positivity_improving_examples(rng, two_triangles):
     assert not positivity_improving(assemble(two_triangles))
     lone = build_graph(["x"], [], c=[2.0])
     assert positivity_improving(assemble(lone))
+
+
+def test_positivity_verdict_thresholds_the_exponential_of_minus_s():
+    # weighted paths of 10-23 vertices straddle the point where the far
+    # corner of e^{-S} drops below 1e-13 of its largest entry (D2); the
+    # verdict must follow e^{-S} itself, not p_1 = D^{-1/2} e^{-S} D^{-1/2}
+    rng = np.random.default_rng(np.uint64(20))
+    verdicts, p1_flips = [], 0
+    for _ in range(120):
+        n = int(rng.integers(10, 24))
+        edges = [(k, k + 1, float(rng.uniform(0.2, 2.0)))
+                 for k in range(n - 1)]
+        op = assemble(build_graph(n, edges, m=rng.uniform(0.1, 5.0, n)))
+        E, _ = pade13_expm(-op.S)
+        positive = bool(np.min(E) > 1e-13 * np.max(E))
+        p1 = E / np.outer(np.sqrt(op.m), np.sqrt(op.m))
+        p1_flips += positive != bool(np.min(p1) > 1e-13 * np.max(p1))
+        verdicts.append(positive)
+        if positive:
+            assert positivity_improving(op) is True
+        else:
+            with pytest.raises(PositivityConnectivityMismatch):
+                positivity_improving(op)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # the draw includes graphs on which a threshold on p_1 would disagree
+    assert p1_flips > 0
 
 
 def test_totality_and_sandwich(rng):

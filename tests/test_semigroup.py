@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from heatlab import assemble, build_graph
+from heatlab import assemble, build_graph, semigroup
+from heatlab.asymptotics import TimeGrid, positivity_improving, rate_kernel
 from heatlab.errors import NegativeTime, NonPositiveTime, SingularShift
 from heatlab.operators import eigendecompose
 from heatlab.semigroup import (
@@ -121,6 +125,62 @@ def test_kernel_caches_g_family_at_t1(single_edge_op):
     assert K.g is not None
     npt.assert_array_equal(K.g, K.p)
     assert heat_kernel(single_edge_op, 2.0).g is None
+
+
+def _unit_time_results(op_for, f):
+    grid = TimeGrid.geometric(1.0, 2.0, 4)
+    ids = op_for().graph.vertices
+    return (apply(op_for(), 1.0, f, SCALING_SQUARING),
+            heat_kernel(op_for(), 1.0, SCALING_SQUARING).p,
+            [rate_kernel(op_for(), ids[0], y, grid).log_values
+             for y in (ids[1], ids[-1])],
+            positivity_improving(op_for()))
+
+
+def test_unit_time_exponential_computed_once_per_operator(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return pade13_expm(M)
+
+    monkeypatch.setattr(semigroup, "pade13_expm", counted)
+    g = random_graph(np.random.default_rng(7), n_max=12)
+    op = assemble(g)
+    assert op.n > 2
+    f = random_vector(np.random.default_rng(8), op.n)
+    got = _unit_time_results(lambda: op, f)
+    assert len(calls) == 1
+    apply(op, 2.0, f, SCALING_SQUARING)
+    apply(op, 2.0, f, SCALING_SQUARING)
+    assert len(calls) == 3
+
+    # every result again, each on its own new operator, so each computes
+    # e^{-S} afresh
+    fresh = _unit_time_results(lambda: assemble(g), f)
+    assert len(calls) == 8
+    npt.assert_array_equal(got[0], fresh[0])
+    npt.assert_array_equal(got[1], fresh[1])
+    for a, b in zip(got[2], fresh[2]):
+        npt.assert_array_equal(a, b)
+    assert got[3] is fresh[3] is True
+
+    stored = semigroup._unit_time_cache[op]
+    assert not stored.flags.writeable
+    p = heat_kernel(op, 1.0, SCALING_SQUARING).p
+    assert p.flags.writeable and not np.shares_memory(p, stored)
+
+
+def test_unit_time_cache_entry_dies_with_operator(single_edge):
+    op = assemble(single_edge)
+    heat_kernel(op, 1.0, SCALING_SQUARING)
+    gc.collect()
+    held = len(semigroup._unit_time_cache)
+    alive = weakref.ref(op)
+    del op
+    gc.collect()
+    assert alive() is None
+    assert len(semigroup._unit_time_cache) == held - 1
 
 
 def test_resolvent_diagonal():
