@@ -28,6 +28,7 @@ from .graphs import (
 )
 from .operators import (
     OperatorRep,
+    SpectralAtoms,
     SpectralData,
     SpectralMeasure,
     assemble,
@@ -105,8 +106,8 @@ __all__ = [
     "WeightedGraph", "validate_graph", "build_graph", "load_graph",
     "dump_graph", "graph_to_dict", "restrict", "is_connected", "components",
     "dirichlet_energy",
-    "OperatorRep", "SpectralData", "SpectralMeasure", "assemble",
-    "eigendecompose", "shift_by_potential", "coefficients",
+    "OperatorRep", "SpectralData", "SpectralAtoms", "SpectralMeasure",
+    "assemble", "eigendecompose", "shift_by_potential", "coefficients",
     "spectral_measure", "decay_factors", "kernel_sum",
     "SemigroupMethod", "SPECTRAL", "SCALING_SQUARING", "KRYLOV",
     "HeatKernel", "apply", "heat_kernel", "kernel_column",

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     InvariantViolation,
@@ -39,7 +38,7 @@ from .errors import (
 from .graphs import is_connected
 from .operators import (
     OperatorRep,
-    SpectralData,
+    SpectralAtoms,
     coefficients,
     decay_factors,
     eigendecompose,
@@ -90,14 +89,13 @@ class TimeGrid:
             raise ValidationError("need t0 > 0, ratio > 1 and count >= 3")
         return cls(t0 * ratio ** np.arange(count))
 
+    @classmethod
+    def of(cls, grid) -> "TimeGrid":
+        """``grid`` itself if it is a TimeGrid, else a grid of its times."""
+        return grid if isinstance(grid, cls) else cls(grid)
+
     def __len__(self) -> int:
         return len(self.times)
-
-
-def _as_grid(grid) -> TimeGrid:
-    if isinstance(grid, TimeGrid):
-        return grid
-    return TimeGrid(np.asarray(grid, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,34 +125,34 @@ class RateEstimate:
     def differenced(self) -> float:
         return float(self.differenced_history[-1])
 
-
-def _grouped_pairing(sd: SpectralData, f, g) -> tuple[np.ndarray, np.ndarray]:
-    """Group energies and signed weights of t -> <f, e^{-tL} g>_m."""
-    wf = coefficients(sd, f)
-    wg = coefficients(sd, g)
-    prod = wf * wg
-    energies = np.array([np.mean(sd.eigenvalues[a:b]) for a, b in sd.groups])
-    weights = np.array([np.sum(prod[a:b]) for a, b in sd.groups])
-    return energies, weights
-
-
-def _log_sum_atoms(energies: np.ndarray, weights: np.ndarray,
-                   times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log |sum_i w_i e^{-t E_i}| and its sign, per time."""
-    a = -np.outer(times, energies)
-    logs, signs = logsumexp(a, b=weights[None, :], axis=1, return_sign=True)
-    return logs, signs
+    @classmethod
+    def from_logs(cls, times: np.ndarray, logs: np.ndarray, target: float
+                  ) -> "RateEstimate":
+        """Estimators from log q(t) at the grid ``times``."""
+        cesaro = -logs / times
+        diffs = np.full_like(times, np.nan)
+        diffs[1:] = -np.diff(logs) / np.diff(times)
+        residuals = np.abs(diffs - target)
+        return cls(times=times, log_values=logs, target=float(target),
+                   cesaro_history=cesaro, differenced_history=diffs,
+                   residual_history=residuals)
 
 
-def _estimate(times: np.ndarray, logs: np.ndarray, target: float
-              ) -> RateEstimate:
-    cesaro = -logs / times
-    diffs = np.full_like(times, np.nan)
-    diffs[1:] = -np.diff(logs) / np.diff(times)
-    residuals = np.abs(diffs - target)
-    return RateEstimate(times=times, log_values=logs, target=float(target),
-                        cesaro_history=cesaro, differenced_history=diffs,
-                        residual_history=residuals)
+def _rate_from_atoms(atoms: SpectralAtoms, threshold: float, grid: TimeGrid,
+                     error: type[Exception], quantity: str, cause: str = ""
+                     ) -> RateEstimate:
+    """Rate estimators for the sum over the atoms above ``threshold``."""
+    # atoms of sub-resolution mass are projection noise, not support;
+    # carried along they would hijack the estimate once t is large
+    # enough for their energy to win
+    atoms = atoms.supported(threshold)
+    if atoms.energies.size == 0:
+        raise error(f"{quantity} vanishes identically{cause}")
+    logs, signs = atoms.log_pairing(grid.times)
+    if np.any(signs <= 0):
+        t_bad = grid.times[np.flatnonzero(signs <= 0)[0]]
+        raise error(f"{quantity} <= 0 at t = {t_bad}")
+    return RateEstimate.from_logs(grid.times, logs, np.min(atoms.energies))
 
 
 def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
@@ -169,25 +167,14 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
     NonPositivePairing
         If q(t) fails to be strictly positive at some grid time.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    energies, weights = _grouped_pairing(sd, f, g)
+    atoms = SpectralAtoms.pairing(sd, f, g)
     scale = op.norm(f) * op.norm(g)
-    supported = np.abs(weights) > _SUPPORT_TOL * scale
-    if not supported.any():
-        raise NonPositivePairing("<f, e^{-tL} g> vanishes identically")
-    # atoms of sub-resolution mass are projection noise, not support;
-    # carried along they would hijack the estimate once t is large
-    # enough for their energy to win
-    energies, weights = energies[supported], weights[supported]
-    logs, signs = _log_sum_atoms(energies, weights, grid.times)
-    if np.any(signs <= 0):
-        t_bad = grid.times[np.flatnonzero(signs <= 0)[0]]
-        raise NonPositivePairing(f"<f, e^{{-tL}} g> <= 0 at t = {t_bad}")
-    target = float(np.min(energies))
-    return _estimate(grid.times, logs, target)
+    return _rate_from_atoms(atoms, _SUPPORT_TOL * scale, grid,
+                            NonPositivePairing, "<f, e^{-tL} g>")
 
 
 def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
@@ -201,32 +188,24 @@ def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
     exponential; other times are not cached (see
     :func:`~heatlab.semigroup.heat_kernel`).
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     ix = op.graph.vertex_index(x)
     iy = op.graph.vertex_index(y)
     ker = heat_kernel(op, 1.0, SCALING_SQUARING)
-    energies, weights = _grouped_pairing(sd, ker.p[ix], ker.p[iy])
-    e_k, w_k = _kernel_atoms(sd, ix, iy)
+    rhs_atoms = SpectralAtoms.pairing(sd, ker.p[ix], ker.p[iy])
+    lhs_atoms = SpectralAtoms.grouped(sd, sd.vectors[ix] * sd.vectors[iy])
     # both sides carry the same atoms (weight_rhs = e^{-2E} weight_lhs),
     # so one noise mask keeps the two sums comparable at every t
     scale = op.norm(ker.p[ix]) * op.norm(ker.p[iy])
-    keep = np.abs(weights) > _SUPPORT_TOL * scale
+    keep = np.abs(rhs_atoms.weights) > _SUPPORT_TOL * scale
     if not keep.any():
         raise ZeroKernelEntry(
             f"p_t({x},{y}) vanishes identically; vertices are not connected"
         )
-    rhs, _ = _log_sum_atoms(energies[keep], weights[keep], grid.times)
-    lhs, _ = _log_sum_atoms(e_k[keep], w_k[keep], grid.times + 2.0)
+    rhs, _ = rhs_atoms[keep].log_pairing(grid.times)
+    lhs, _ = lhs_atoms[keep].log_pairing(grid.times + 2.0)
     return np.abs(lhs - rhs)
-
-
-def _kernel_atoms(sd: SpectralData, ix: int, iy: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    prod = sd.vectors[ix, :] * sd.vectors[iy, :]
-    energies = np.array([np.mean(sd.eigenvalues[a:b]) for a, b in sd.groups])
-    weights = np.array([np.sum(prod[a:b]) for a, b in sd.groups])
-    return energies, weights
 
 
 def rate_kernel(op: OperatorRep, x, y, grid) -> RateEstimate:
@@ -242,31 +221,23 @@ def rate_kernel(op: OperatorRep, x, y, grid) -> RateEstimate:
     ZeroKernelEntry
         If x and y lie in different connected components.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     ix = op.graph.vertex_index(x)
     iy = op.graph.vertex_index(y)
-    energies, weights = _kernel_atoms(sd, ix, iy)
+    atoms = SpectralAtoms.grouped(sd, sd.vectors[ix] * sd.vectors[iy])
     scale = np.sqrt(np.sum(sd.vectors[ix, :] ** 2)
                     * np.sum(sd.vectors[iy, :] ** 2))
-    supported = np.abs(weights) > 1e-13 * scale
-    if not supported.any():
-        raise ZeroKernelEntry(
-            f"p_t({x},{y}) vanishes identically; vertices are not connected"
-        )
-    energies, weights = energies[supported], weights[supported]
-    logs, signs = _log_sum_atoms(energies, weights, grid.times)
-    if np.any(signs <= 0):
-        t_bad = grid.times[np.flatnonzero(signs <= 0)[0]]
-        raise ZeroKernelEntry(f"p_t({x},{y}) <= 0 at t = {t_bad}")
+    estimate = _rate_from_atoms(atoms, 1e-13 * scale, grid, ZeroKernelEntry,
+                                f"p_t({x},{y})",
+                                "; vertices are not connected")
     defects = kernel_factorization_defects(op, x, y, grid)
     if np.any(defects > _FACTORIZATION_TOL):
         raise InvariantViolation(
             "kernel factorization identity violated: max log-defect "
             f"{np.max(defects):.2e} over the grid"
         )
-    target = float(np.min(energies))
-    return _estimate(grid.times, logs, target)
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +275,7 @@ def groundstate_limit(op: OperatorRep, grid,
     InvariantViolation
         If some residual escapes the decay envelope.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     # gap counted with multiplicity: a degenerate ground state (always a
     # disconnected graph) has no product-state limit in the first place
@@ -353,7 +324,7 @@ def eigenvalue_detector(op: OperatorRep, x, grid,
     does not vanish at x; under exhaustion (spectrum bottom not an
     eigenvalue) the profile would drain to zero instead.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     ix = op.graph.vertex_index(x)
     t = grid.times[-1]
@@ -369,7 +340,7 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
     the spectral support of (I - P) f, which is what the calling tests
     assert.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     f = np.asarray(f, dtype=float)
     coeff = coefficients(sd, f)

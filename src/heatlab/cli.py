@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .operators import (
     OperatorRep,
+    SpectralAtoms,
     assemble,
     eigendecompose,
     shift_by_potential,
@@ -41,8 +42,6 @@ from .operators import (
 from .semigroup import KRYLOV, SCALING_SQUARING, SPECTRAL, heat_kernel
 from .asymptotics import (
     TimeGrid,
-    _grouped_pairing,
-    _log_sum_atoms,
     groundstate_limit,
     positivity_improving,
     rate_inner,
@@ -305,9 +304,8 @@ def cmd_perturb(args) -> int:
     for k in _ks(args):
         shifted = shift_by_potential(op, np.minimum(V.values, k))
         f_k = np.minimum(np.maximum(f, 0.0), k)
-        energies, weights = _grouped_pairing(eigendecompose(shifted),
-                                             f_k, f_k)
-        logs, _ = _log_sum_atoms(energies, weights, 2.0 * grid.times)
+        atoms = SpectralAtoms.pairing(eigendecompose(shifted), f_k, f_k)
+        logs, _ = atoms.log_pairing(2.0 * grid.times)
         rows.extend((k, t, 0.5 * lv) for t, lv in zip(grid.times, logs))
     _write_csv(args.out / "ladder.csv", ["k", "t", "log_norm"], rows)
     _write_json(args.out / "perturb.json",

@@ -37,7 +37,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .semigroup import pade13_expm
-from .asymptotics import RateEstimate, _as_grid, _estimate
+from .asymptotics import RateEstimate, TimeGrid
 
 __all__ = [
     "ShiftModel",
@@ -179,7 +179,7 @@ def counterexample_rate(model: ShiftModel, lam: float, x, grid
             f"lam = {lam} must exceed 2 mu = {2 * model.mu} "
             "for the orbit rate to be lam"
         )
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     x = np.asarray(x, dtype=float)
     if x.shape != (model.N,):
         raise ValueError(f"probe vector must have shape ({model.N},)")
@@ -208,7 +208,7 @@ def counterexample_rate(model: ShiftModel, lam: float, x, grid
                 f"<x, orbit> fell to {pairing} at t = {t}"
             )
         logs[j] = -(acc + math.log(pairing))
-    return _estimate(grid.times, logs, target=lam)
+    return RateEstimate.from_logs(grid.times, logs, target=lam)
 
 
 def is_positivity_improving_shift(model: ShiftModel, t: float,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.special import logsumexp
 
 from .errors import EigensolverFailure, InvariantViolation, ZeroVector
 from .graphs import WeightedGraph
@@ -31,6 +32,7 @@ from .graphs import WeightedGraph
 __all__ = [
     "OperatorRep",
     "SpectralData",
+    "SpectralAtoms",
     "SpectralMeasure",
     "assemble",
     "decay_factors",
@@ -137,13 +139,6 @@ class SpectralData:
             return 0.0
         return float(self.eigenvalues[stop] - self.E0)
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(e) for e in self.eigenvalues],
-            "vectors": [[float(x) for x in self.vectors[:, i]]
-                        for i in range(self.vectors.shape[1])],
-        }
-
 
 def decay_factors(eigenvalues, t: float, shift: float = 0.0) -> np.ndarray:
     """Decay factors e^{-t (E_i - shift)} of the spectral atoms.
@@ -173,13 +168,10 @@ def kernel_sum(sd: SpectralData, t: float, shift: float = 0.0) -> np.ndarray:
 
 
 def _group_eigenvalues(w: np.ndarray) -> tuple[tuple[int, int], ...]:
-    groups = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > GROUPING_TOL * (1.0 + abs(w[k])):
-            groups.append((start, k))
-            start = k
-    return tuple(groups)
+    # a group ends wherever the next eigenvalue is more than the tolerance up
+    cuts = np.flatnonzero(np.diff(w) > GROUPING_TOL * (1.0 + np.abs(w[1:])))
+    bounds = [0, *(int(k) + 1 for k in cuts), len(w)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 _spectral_cache: "weakref.WeakKeyDictionary[OperatorRep, SpectralData]" = (
@@ -235,6 +227,49 @@ def coefficients(sd: SpectralData, f) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SpectralAtoms:
+    """Atoms (E_i, w_i) of a spectral sum t -> sum_i w_i e^{-t E_i}.
+
+    One atom per eigenvalue group: ``energies`` ascending, ``weights``
+    real and possibly signed.  Pairings <f, e^{-tL} g>_m and kernel
+    entries p_t(x, y) are both sums of this form; :meth:`log_pairing`
+    evaluates them in the log domain, so large times never underflow.
+    """
+
+    energies: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def grouped(cls, sd: SpectralData, products) -> "SpectralAtoms":
+        """Merge per-eigenvector ``products`` over the eigenvalue groups.
+
+        An atom's energy is the mean eigenvalue of its group and its
+        weight the sum of the group's products.
+        """
+        energies = np.array([np.mean(sd.eigenvalues[a:b])
+                             for a, b in sd.groups])
+        weights = np.array([np.sum(products[a:b]) for a, b in sd.groups])
+        return cls(energies, weights)
+
+    @classmethod
+    def pairing(cls, sd: SpectralData, f, g) -> "SpectralAtoms":
+        """Atoms of t -> <f, e^{-tL} g>_m, w_i = <phi_i, f>_m <phi_i, g>_m."""
+        return cls.grouped(sd, coefficients(sd, f) * coefficients(sd, g))
+
+    def __getitem__(self, keep) -> "SpectralAtoms":
+        return SpectralAtoms(self.energies[keep], self.weights[keep])
+
+    def supported(self, threshold: float) -> "SpectralAtoms":
+        """The atoms with |w_i| strictly above ``threshold``."""
+        return self[np.abs(self.weights) > threshold]
+
+    def log_pairing(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """log |sum_i w_i e^{-t E_i}| and its sign, per time."""
+        a = -np.outer(times, self.energies)
+        return logsumexp(a, b=self.weights[None, :], axis=1, return_sign=True)
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Finite atomic measure rho_f with <f, e^{-tL} f> = sum_i w_i e^{-t E_i}.
 
@@ -260,14 +295,9 @@ def spectral_measure(sd: SpectralData, f) -> SpectralMeasure:
     total = float(np.sum(f * f * sd.m))
     if total == 0.0:
         raise ZeroVector("the zero vector has no spectral measure")
-    coeff = coefficients(sd, f)
-    atoms = []
-    for start, stop in sd.groups:
-        mass = float(np.sum(coeff[start:stop] ** 2))
-        energy = float(np.mean(sd.eigenvalues[start:stop]))
-        atoms.append((energy, mass))
-    threshold = SUPPORT_MASS_TOL * total
-    supported = [e for e, wgt in atoms if wgt > threshold]
-    inf_support = min(supported) if supported else np.inf
-    return SpectralMeasure(atoms=tuple(atoms), total_mass=total,
-                           inf_support=float(inf_support))
+    atoms = SpectralAtoms.grouped(sd, coefficients(sd, f) ** 2)
+    supported = atoms.supported(SUPPORT_MASS_TOL * total).energies
+    inf_support = np.min(supported) if supported.size else np.inf
+    return SpectralMeasure(
+        atoms=tuple(zip(atoms.energies.tolist(), atoms.weights.tolist())),
+        total_mass=total, inf_support=float(inf_support))

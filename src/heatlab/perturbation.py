@@ -30,9 +30,15 @@ from .errors import (
     ValidationError,
 )
 from .graphs import WeightedGraph
-from .operators import OperatorRep, assemble, eigendecompose, shift_by_potential
+from .operators import (
+    OperatorRep,
+    SpectralAtoms,
+    assemble,
+    eigendecompose,
+    shift_by_potential,
+)
 from .semigroup import apply as sg_apply
-from .asymptotics import _as_grid, _grouped_pairing, _log_sum_atoms
+from .asymptotics import TimeGrid
 
 __all__ = [
     "Potential",
@@ -139,7 +145,7 @@ class TruncationLadder:
 
 
 def truncation_ladder(op: OperatorRep, V, f, grid, ks) -> TruncationLadder:
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
     ks = tuple(sorted(float(k) for k in ks))
@@ -275,7 +281,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     required to obey the (ii) bound at the grid times whenever the
     verdict is positive, and ``M`` records their worst log-margin.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -296,13 +302,13 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     # (ii): the pairing grows like e^{-t inf supp}; the bound holds for
     # all t iff that bottom stays at or above E
     full = shift_by_potential(op, values)
-    energies, weights = _grouped_pairing(eigendecompose(full), f, g)
-    supported = np.abs(weights) > 1e-12 * norms
-    if not supported.any():
+    atoms = SpectralAtoms.pairing(eigendecompose(full), f, g)
+    support = atoms.supported(1e-12 * norms).energies
+    if support.size == 0:
         raise EquivalenceViolation(
             "positive f, g lost all spectral mass under L - V"
         )
-    holds_ii = bool(np.min(energies[supported]) >= E - tol)
+    holds_ii = bool(np.min(support) >= E - tol)
 
     if not (holds_i == holds_ii == holds_iii):
         raise EquivalenceViolation(
@@ -314,9 +320,8 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     worst = -math.inf
     for k in ks:
         shifted = shift_by_potential(op, np.minimum(values, k))
-        sd = eigendecompose(shifted)
-        e_k, w_k = _grouped_pairing(sd, f, g)
-        logs, _ = _log_sum_atoms(e_k, w_k, grid.times)
+        atoms = SpectralAtoms.pairing(eigendecompose(shifted), f, g)
+        logs, _ = atoms.log_pairing(grid.times)
         margins = logs - (log_M - E * grid.times)
         worst = max(worst, float(np.max(margins)))
         if holds_ii and np.any(margins > slack):
@@ -359,7 +364,7 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         If f has a negative entry; the approximating scheme
         f_k = min(f, k) needs f >= 0.
     """
-    grid = _as_grid(grid)
+    grid = TimeGrid.of(grid)
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):

@@ -58,28 +58,21 @@ _PADE13 = np.array([
     960960.0, 16380.0, 182.0, 1.0,
 ])
 _PADE13 = _PADE13 / _PADE13[0]
+# initial Lanczos subspace dimension (doubled on each of two restarts) and
+# the convergence tolerance of the Krylov path
+_KRYLOV_DIM = 30
+_KRYLOV_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
 class SemigroupMethod:
-    """Evaluation strategy for e^{-tL}.
-
-    ``krylov_dim`` is the initial Lanczos subspace dimension and
-    ``tol`` the convergence / cross-check tolerance shared by the
-    iterative paths.
-    """
+    """Evaluation strategy for e^{-tL}."""
 
     tag: str = "spectral"
-    krylov_dim: int = 30
-    tol: float = 1e-13
 
     def __post_init__(self):
         if self.tag not in ("spectral", "scaling-squaring", "krylov"):
             raise ValueError(f"unknown method tag {self.tag!r}")
-        if self.krylov_dim < 2:
-            raise ValueError("krylov_dim must be at least 2")
-        if not 0 < self.tol < 1:
-            raise ValueError("tol must lie in (0, 1)")
 
 
 SPECTRAL = SemigroupMethod("spectral")
@@ -139,8 +132,8 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     return E
 
 
-def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int,
-                     tol: float) -> tuple[np.ndarray, float]:
+def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int
+                     ) -> tuple[np.ndarray, float]:
     """One Lanczos pass; returns (approximation, error estimate)."""
     n = len(v)
     dim = min(dim, n)
@@ -178,14 +171,13 @@ def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int,
     return approx, est
 
 
-def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray,
-                  method: SemigroupMethod) -> np.ndarray:
+def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     scale = max(np.linalg.norm(v), 1.0)
-    dim = method.krylov_dim
+    dim = _KRYLOV_DIM
     last_est = np.inf
     for attempt in range(3):
-        approx, est = _lanczos_attempt(op.S, v, t, dim, method.tol)
-        if est <= method.tol * max(scale, np.linalg.norm(approx)):
+        approx, est = _lanczos_attempt(op.S, v, t, dim)
+        if est <= _KRYLOV_TOL * max(scale, np.linalg.norm(approx)):
             return approx
         last_est = est
         dim *= 2
@@ -231,7 +223,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     elif method.tag == "scaling-squaring":
         ev = _exponential(op, t) @ v
     else:
-        ev = _krylov_apply(op, t, v, method)
+        ev = _krylov_apply(op, t, v)
     return ev / rs
 
 

@@ -237,8 +237,7 @@ def cross_method_section(seed: int = 0) -> SectionResult:
             for t in (0.1, 1.0, 10.0):
                 ref = apply(op, t, f, SPECTRAL)
                 for method in (SCALING_SQUARING, KRYLOV):
-                    dev = float(np.sqrt(
-                        np.sum((apply(op, t, f, method) - ref) ** 2 * op.m)))
+                    dev = op.norm(apply(op, t, f, method) - ref)
                     yield OracleReport.compare(
                         f"{method.tag} vs spectral n={op.n} t={t}", 0.0,
                         dev / scale, 1e-9, seed, relative=False)

@@ -6,7 +6,10 @@ import scipy.linalg
 from heatlab import assemble, build_graph, dirichlet_energy
 from heatlab.errors import ZeroVector
 from heatlab.operators import (
+    GROUPING_TOL,
     OperatorRep,
+    SpectralAtoms,
+    _group_eigenvalues,
     coefficients,
     eigendecompose,
     shift_by_potential,
@@ -235,3 +238,95 @@ def test_dense_solver_size_cutoff():
                      lower_bound=0.0, graph=None)
     with pytest.raises(ValueError):
         eigendecompose(op)
+
+
+def _groups_by_loop(w):
+    """Eigenvalue grouping as a scan: reference for the vectorized one."""
+    groups = []
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[k - 1] > GROUPING_TOL * (1.0 + abs(w[k])):
+            groups.append((start, k))
+            start = k
+    return tuple(groups)
+
+
+def test_eigenvalue_groups_match_loop_reference(rng):
+    spectra = [np.array([0.7]), np.full(6, 2.5), np.zeros(3)]
+    for clusters in (1, 3, 20, 80):
+        # planted clusters: members split by exact ties, by far less than
+        # the tolerance, and by half and twice of it
+        centers = np.sort(rng.uniform(-5.0, 50.0, clusters))
+        w = []
+        for c in centers:
+            steps = rng.choice([0.0, 1e-3, 0.5, 2.0], size=rng.integers(0, 4))
+            w += list(c + np.cumsum(np.concatenate([[0.0], steps]))
+                      * GROUPING_TOL * (1.0 + abs(c)))
+        spectra.append(np.sort(np.array(w)))
+    spectra += [eigendecompose(assemble(random_graph(rng, n_max=40))).eigenvalues
+                for _ in range(5)]
+    sizes = []
+    for w in spectra:
+        groups = _group_eigenvalues(w)
+        assert groups == _groups_by_loop(w)
+        sizes += [b - a for a, b in groups]
+    assert max(sizes) > 1 and min(sizes) == 1
+
+
+def _complete_graph(n, c=0.0):
+    names = [str(i) for i in range(n)]
+    edges = [(u, v, 1.0) for i, u in enumerate(names) for v in names[i + 1:]]
+    return build_graph(names, edges, c=np.full(n, c))
+
+
+def test_grouped_atoms_match_loop_reference(rng):
+    g = random_graph(rng, n_max=10)
+    # K8: E = 8 has multiplicity 7; a graph joined to its own copy doubles
+    # every eigenvalue
+    for op in (assemble(_complete_graph(8)), assemble(_disjoint_union(g, g))):
+        sd = eigendecompose(op)
+        assert max(b - a for a, b in sd.groups) > 1
+        f = rng.uniform(0.1, 1.0, op.n)
+        h = rng.uniform(0.1, 1.0, op.n)
+        products = coefficients(sd, f) * coefficients(sd, h)
+        atoms = SpectralAtoms.grouped(sd, products)
+        want_e, want_w = [], []
+        for a, b in sd.groups:
+            want_e.append(np.mean(sd.eigenvalues[a:b]))
+            want_w.append(np.sum(products[a:b]))
+        npt.assert_array_equal(atoms.energies, want_e)
+        npt.assert_array_equal(atoms.weights, want_w)
+        pairing = SpectralAtoms.pairing(sd, f, h)
+        npt.assert_array_equal(pairing.weights, atoms.weights)
+        assert np.sum(atoms.weights) == pytest.approx(op.inner(f, h),
+                                                      rel=1e-12)
+
+
+def test_log_pairing_matches_direct_sum_and_survives_underflow(rng):
+    # killing c = 1 puts E0 at 1, so every e^{-tE} underflows at t = 1e4
+    op = assemble(_complete_graph(8, c=1.0))
+    atoms = SpectralAtoms.pairing(eigendecompose(op),
+                                  rng.uniform(0.1, 1.0, 8),
+                                  rng.uniform(0.1, 1.0, 8))
+    times = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
+    logs, signs = atoms.log_pairing(times)
+    direct = np.exp(-np.outer(times, atoms.energies)) @ atoms.weights
+    npt.assert_array_equal(signs, np.sign(direct))
+    npt.assert_allclose(logs, np.log(np.abs(direct)), rtol=0.0, atol=1e-13)
+    t = 1e4
+    assert np.exp(-t * atoms.energies) @ atoms.weights == 0.0
+    (late,), (sign,) = atoms.log_pairing([t])
+    assert sign == 1.0
+    assert late == pytest.approx(
+        np.log(atoms.weights[0]) - t * atoms.energies[0], rel=1e-13)
+
+
+def test_supported_is_strict_at_threshold():
+    atoms = SpectralAtoms(np.array([0.0, 1.0, 2.0, 3.0]),
+                          np.array([0.5, -0.25, 0.25, 1e-3]))
+    kept = atoms.supported(0.25)
+    npt.assert_array_equal(kept.energies, [0.0])
+    npt.assert_array_equal(kept.weights, [0.5])
+    below = atoms.supported(np.nextafter(0.25, 0.0))
+    npt.assert_array_equal(below.energies, [0.0, 1.0, 2.0])
+    npt.assert_array_equal(below.weights, [0.5, -0.25, 0.25])
