@@ -67,15 +67,20 @@ _FACTORIZATION_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing positive evaluation times, at least three."""
+    """Strictly increasing positive finite evaluation times, at least three.
+
+    ``times`` is a read-only copy; the caller's array is left as it was.
+    """
 
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.array(self.times, dtype=float)
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or len(times) < 3:
             raise ValidationError("a time grid needs at least 3 times")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("grid times must be finite")
         if not np.all(times > 0):
             raise ValidationError("grid times must be positive")
         if not np.all(np.diff(times) > 0):

@@ -8,7 +8,8 @@ Three interchangeable evaluators are provided and must agree within
 ``scaling-squaring``
     13th-order diagonal rational approximant of the matrix exponential,
     input scaled so the scaled 1-norm is below 5.37, then repeatedly
-    squared.
+    squared.  :func:`apply` at t != 1 stops squaring while 2^k factors
+    remain and applies them to the vector instead (k <= log2(n) - 1).
 ``krylov``
     Lanczos with full reorthogonalization on S (default subspace
     dimension 30), restarted at most twice with doubled dimension.
@@ -30,6 +31,7 @@ from .errors import (
     NegativeTime,
     NonPositiveTime,
     SingularShift,
+    ValidationError,
 )
 from .operators import OperatorRep, decay_factors, eigendecompose, kernel_sum
 
@@ -132,6 +134,26 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     return E
 
 
+def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
+    """e^{-tS} v as F^(2^k) v, where F is the matrix that
+    ``pade13_expm(-tS)`` holds with k of its s squarings still to do.
+
+    Leaving the k-th squaring to the vector saves 2n^3 flops and costs
+    2^(k-1) more matrix-vector products of 2n^2 flops each.  Those are
+    memory-bound and run at a few times lower flop rate, so they count
+    four-fold, and the trade pays while 2^(k+1) <= n, i.e. for
+    k <= floor(log2 n) - 1.  Scaling S by -t / 2^k is exact, so F is
+    bit-for-bit that intermediate matrix.
+    """
+    norm = t * np.linalg.norm(op.S, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    k = min(s, max(op.n.bit_length() - 2, 0))
+    F, _ = pade13_expm(op.S * (-t / 2.0 ** k))
+    for _ in range(2 ** k):
+        v = F @ v
+    return v
+
+
 def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int
                      ) -> tuple[np.ndarray, float]:
     """One Lanczos pass; returns (approximation, error estimate)."""
@@ -187,6 +209,11 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_finite(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValidationError(f"time t = {t} is not finite")
+
+
 def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
           ) -> np.ndarray:
     """Evaluate e^{-tL} f.
@@ -199,15 +226,20 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     f : array_like
         Function on the vertices.
     method : SemigroupMethod, optional
-        Defaults to the spectral path.
+        Defaults to the spectral path.  Scaling-squaring at t = 1 multiplies
+        by the e^{-S} kept per operator; at other times it stops squaring
+        while 2^k factors remain and applies them to the vector.
 
     Raises
     ------
+    ValidationError
+        If t is not finite.
     NegativeTime
         If t < 0.
     KrylovBreakdown
         If the Krylov path fails to converge after two restarts.
     """
+    _check_finite(t)
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
     f = np.asarray(f, dtype=float)
@@ -220,8 +252,10 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
         sd = eigendecompose(op)
         U = sd.vectors * rs[:, None]
         ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
-    elif method.tag == "scaling-squaring":
+    elif method.tag == "scaling-squaring" and t == 1.0:
         ev = _exponential(op, t) @ v
+    elif method.tag == "scaling-squaring":
+        ev = _powered_apply(op, t, v)
     else:
         ev = _krylov_apply(op, t, v)
     return ev / rs
@@ -256,6 +290,7 @@ def heat_kernel(op: OperatorRep, t: float,
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
     """
+    _check_finite(t)
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     method = method or SPECTRAL
@@ -274,6 +309,7 @@ def heat_kernel(op: OperatorRep, t: float,
 def kernel_column(op: OperatorRep, t: float, y: int,
                   method: SemigroupMethod | None = None) -> np.ndarray:
     """Single kernel column p_t(., y) via one semigroup application."""
+    _check_finite(t)
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     delta = np.zeros(op.n)
@@ -336,6 +372,7 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     positivity, which is what several entrywise comparison checks lean
     on.
     """
+    _check_finite(t)
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
     if n < 1:

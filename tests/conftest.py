@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatlab import assemble, build_graph
+from heatlab.metric_graphs import discretize, validate_metric_graph
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -53,6 +54,18 @@ def two_triangles():
     edges = [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0),
              ("d", "e", 1.0), ("e", "f", 1.0), ("d", "f", 1.0)]
     return build_graph(verts, edges)
+
+
+@pytest.fixture
+def stiff_star_op():
+    """Discretized star with Dirichlet leaves at h = 0.02: ||S|| ~ 1e4."""
+    mg = validate_metric_graph({
+        "vertices": [{"id": "o"}] + [{"id": f"leaf{e}", "bc": "dirichlet"}
+                                     for e in range(3)],
+        "edges": [{"id": f"e{e}", "i": "o", "j": f"leaf{e}", "l": length}
+                  for e, length in enumerate((0.6, 0.8, 1.0))],
+    })
+    return assemble(discretize(mg, 0.02))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from heatlab.errors import (
     ValidationError,
     ZeroKernelEntry,
 )
-from heatlab.metric_graphs import discretize, validate_metric_graph
 from heatlab.operators import (
     coefficients,
     decay_factors,
@@ -37,10 +36,25 @@ def test_timegrid_validation():
         TimeGrid(times=np.array([1.0, 2.0, 2.0]))
     with pytest.raises(ValidationError):
         TimeGrid(times=np.array([0.0, 1.0, 2.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            TimeGrid(times=np.array([1.0, 2.0, bad]))
     grid = TimeGrid.geometric(t0=1.0, ratio=1.5, count=20)
     assert len(grid.times) == 20
     assert grid.times[0] == 1.0
     assert grid.times[1] / grid.times[0] == pytest.approx(1.5)
+
+
+def test_timegrid_leaves_caller_array_writable(single_edge_op):
+    a = np.array([1.0, 2.0, 3.0])
+    grid = TimeGrid(a)
+    assert a.flags.writeable and not grid.times.flags.writeable
+    a[0] = 0.5
+    assert grid.times[0] == 1.0
+    b = np.array([1.0, 2.0, 3.0])
+    rate_inner(single_edge_op, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+               grid=b)
+    assert b.flags.writeable
 
 
 def test_rate_inner_positive_pair_reaches_ground_energy(single_edge_op):
@@ -179,19 +193,8 @@ def test_eigenvalue_detector_exhaustion_drains():
     assert values[0] > values[1] > values[2] > 0
 
 
-def _stiff_star():
-    """Discretized star with Dirichlet leaves at h = 0.02: ||S|| ~ 1e4."""
-    mg = validate_metric_graph({
-        "vertices": [{"id": "o"}] + [{"id": f"leaf{e}", "bc": "dirichlet"}
-                                     for e in range(3)],
-        "edges": [{"id": f"e{e}", "i": "o", "j": f"leaf{e}", "l": length}
-                  for e, length in enumerate((0.6, 0.8, 1.0))],
-    })
-    return assemble(discretize(mg, 0.02))
-
-
-def test_decay_factors_have_no_subnormals():
-    sd = eigendecompose(_stiff_star())
+def test_decay_factors_have_no_subnormals(stiff_star_op):
+    sd = eigendecompose(stiff_star_op)
     assert np.max(sd.eigenvalues) > 9e3
     tiny = np.finfo(float).tiny
     raw_subnormal = False
@@ -208,8 +211,8 @@ def test_decay_factors_have_no_subnormals():
     assert raw_subnormal
 
 
-def test_spectral_sums_match_full_rank_reference(rng):
-    op = _stiff_star()
+def test_spectral_sums_match_full_rank_reference(rng, stiff_star_op):
+    op = stiff_star_op
     sd = eigendecompose(op)
     V, E, E0 = sd.vectors, sd.eigenvalues, sd.E0
     grid = TimeGrid.geometric(t0=0.1, ratio=2.0, count=11)
@@ -248,8 +251,8 @@ def test_spectral_sums_match_full_rank_reference(rng):
                             atol=tol * np.max(np.abs(p_ref)))
 
 
-def test_spectral_apply_matches_full_rank_reference(rng):
-    op = _stiff_star()
+def test_spectral_apply_matches_full_rank_reference(rng, stiff_star_op):
+    op = stiff_star_op
     sd = eigendecompose(op)
     tol = 1e-13
     rs = np.sqrt(op.m)

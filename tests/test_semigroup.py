@@ -7,7 +7,12 @@ import pytest
 
 from heatlab import assemble, build_graph, semigroup
 from heatlab.asymptotics import TimeGrid, positivity_improving, rate_kernel
-from heatlab.errors import NegativeTime, NonPositiveTime, SingularShift
+from heatlab.errors import (
+    NegativeTime,
+    NonPositiveTime,
+    SingularShift,
+    ValidationError,
+)
 from heatlab.operators import eigendecompose
 from heatlab.semigroup import (
     KRYLOV,
@@ -41,9 +46,22 @@ def test_apply_single_edge_closed_form(single_edge_op, method):
         npt.assert_allclose(got, want, atol=1e-12)
 
 
-def test_apply_rejects_negative_time(single_edge_op):
-    with pytest.raises(NegativeTime):
-        apply(single_edge_op, -0.5, np.array([1.0, 0.0]))
+NON_FINITE = [np.inf, -np.inf, np.nan]
+NON_FINITE_IDS = ["inf", "-inf", "nan"]
+TAGS = [m.tag for m in METHODS]
+
+
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+@pytest.mark.parametrize("t", [-0.5] + NON_FINITE,
+                         ids=["negative"] + NON_FINITE_IDS)
+def test_apply_rejects_negative_time(single_edge_op, t, method):
+    error, match = ((NegativeTime, "< 0") if t == -0.5
+                    else (ValidationError, "not finite"))
+    f = np.array([1.0, 0.0])
+    with pytest.raises(error, match=match):
+        apply(single_edge_op, t, f, method)
+    with pytest.raises(error, match=match):
+        trotter(single_edge_op, np.zeros(2), t, 1, f)
 
 
 def test_semigroup_law(rng):
@@ -89,9 +107,16 @@ def test_heat_kernel_single_edge(single_edge_op):
     assert kernel_symmetry_defect(K) <= 1e-10
 
 
-def test_heat_kernel_rejects_nonpositive_time(single_edge_op):
-    with pytest.raises(NonPositiveTime):
-        heat_kernel(single_edge_op, 0.0)
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+@pytest.mark.parametrize("t", [0.0] + NON_FINITE,
+                         ids=["zero"] + NON_FINITE_IDS)
+def test_heat_kernel_rejects_nonpositive_time(single_edge_op, t, method):
+    error, match = ((NonPositiveTime, "t > 0") if t == 0.0
+                    else (ValidationError, "not finite"))
+    with pytest.raises(error, match=match):
+        heat_kernel(single_edge_op, t, method)
+    with pytest.raises(error, match=match):
+        kernel_column(single_edge_op, t, 0, method)
 
 
 def test_kernel_reproduces_semigroup(rng):
@@ -181,6 +206,69 @@ def test_unit_time_cache_entry_dies_with_operator(single_edge):
     gc.collect()
     assert alive() is None
     assert len(semigroup._unit_time_cache) == held - 1
+
+
+def _seeded_path(n=300):
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 2.0, n - 1)
+    return assemble(build_graph(
+        n, [(i, i + 1, float(w[i])) for i in range(n - 1)],
+        m=rng.uniform(0.5, 2.0, n)))
+
+
+def _fully_squared(op, t, f):
+    """Scaling-squaring e^{-tL} f with every squaring done on the matrix."""
+    rs = np.sqrt(op.m)
+    return (pade13_expm(-t * op.S)[0] @ (rs * f)) / rs
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
+def test_powered_apply_matches_full_squaring_and_spectral(t, stiff_star_op):
+    eps = np.finfo(float).eps
+    for op in (_seeded_path(), stiff_star_op):
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        got = apply(op, t, f, SCALING_SQUARING)
+        cond = 100 * eps * t * np.linalg.norm(op.S, 1)
+        for ref in (_fully_squared(op, t, f), apply(op, t, f, SPECTRAL)):
+            # relative to the answer, as long-time asymptotics need; results
+            # that underflow compare absolutely
+            bound = (1e-9 + cond) * op.norm(ref) + 1e-280 * op.norm(f)
+            assert op.norm(got - ref) <= bound
+
+
+def test_powered_apply_without_vector_factors_is_unchanged(rng):
+    cases = [(assemble(build_graph(1, [])), 10.0),
+             (assemble(build_graph(1, [], c=[2.0])), 10.0)]
+    op = assemble(random_graph(rng, n_max=20))
+    t = 2.0 / np.linalg.norm(op.S, 1)
+    assert pade13_expm(-t * op.S)[1] == 0
+    cases.append((op, t))
+    for op, t in cases:
+        f = random_vector(rng, op.n)
+        npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
+                               _fully_squared(op, t, f))
+
+
+def test_powered_apply_leaves_last_squarings_to_the_vector(monkeypatch):
+    op = _seeded_path()
+    calls = []
+
+    def recorded(M):
+        out = pade13_expm(M)
+        calls.append((M, out))
+        return out
+
+    monkeypatch.setattr(semigroup, "pade13_expm", recorded)
+    apply(op, 100.0, np.ones(op.n), SCALING_SQUARING)
+    (M, (F, squarings)), = calls
+    full, s = pade13_expm(-100.0 * op.S)
+    k = s - squarings
+    assert k == min(s, int(np.log2(op.n)) - 1) > 0
+    npt.assert_array_equal(M, op.S * (-100.0 / 2.0 ** k))
+    # F is the matrix the full route holds with k squarings to go
+    for _ in range(k):
+        F = F @ F
+    npt.assert_array_equal(F, full)
 
 
 def test_resolvent_diagonal():
