@@ -8,8 +8,15 @@ Three interchangeable evaluators are provided and must agree within
 ``scaling-squaring``
     13th-order diagonal rational approximant of the matrix exponential,
     input scaled so the scaled 1-norm is below 5.37, then repeatedly
-    squared.  :func:`apply` at t != 1 stops squaring while 2^k factors
-    remain and applies them to the vector instead (k <= log2(n) - 1).
+    squared.  From n = 256 on, the approximant's numerator and denominator
+    are built from S in CSR format, in sparse products while they stay
+    below a quarter fill (long-diameter graphs); the solve and the
+    squarings are dense.
+    :func:`apply` at t != 1 either stops squaring while 2^k factors
+    remain and applies them to the vector (k <= log2(n) - 1), or, when
+    the factors stayed sparse and 2^s vector steps cost less, applies all
+    2^s factors to the vector through one sparse LU.  A time at which
+    t ||S||_1 or the result is not finite raises NumericsError.
 ``krylov``
     Lanczos with full reorthogonalization on S (default subspace
     dimension 30), restarted at most twice with doubled dimension.
@@ -20,6 +27,7 @@ up to rounding and are never symmetrized by hand.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -30,6 +38,7 @@ from .errors import (
     KrylovBreakdown,
     NegativeTime,
     NonPositiveTime,
+    NumericsError,
     SingularShift,
     ValidationError,
 )
@@ -60,6 +69,22 @@ _PADE13 = np.array([
     960960.0, 16380.0, 182.0, 1.0,
 ])
 _PADE13 = _PADE13 / _PADE13[0]
+# a Padé power or factor that stores more than this share of its n^2
+# entries is converted to dense: short-diameter graphs, whose powers fill
+# within a few products (random graphs by M^4), fall back to BLAS-3, while
+# the powers of long-diameter graphs (paths, discretized metric graphs)
+# stay a few percent full
+_DENSE_FILL = 0.25
+# below this order S reaches the Padé evaluation dense: the ~30
+# scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
+# size, and a dense evaluation on a weighted path breaks even with the
+# sparse one near n = 192 with one BLAS thread, later with two
+_SPARSE_MIN_N = 256
+# a step of the sparse vector route in _powered_apply takes this many
+# times longer per flop than a dense matrix product: measured 25-45x on
+# the factors of a weighted path (n = 700) and a discretized star
+# (n = 496), 2 vCPU with 2 OpenBLAS threads
+_VECTOR_WEIGHT = 32
 # initial Lanczos subspace dimension (doubled on each of two restarts) and
 # the convergence tolerance of the Krylov path
 _KRYLOV_DIM = 30
@@ -82,31 +107,70 @@ SCALING_SQUARING = SemigroupMethod("scaling-squaring")
 KRYLOV = SemigroupMethod("krylov")
 
 
-def pade13_expm(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """Matrix exponential e^M by scaling and squaring.
+def _fit(P):
+    """P, as an ndarray once it stores more than a quarter of its entries."""
+    if not isinstance(P, np.ndarray) and P.nnz > _DENSE_FILL * P.shape[0] ** 2:
+        return P.toarray()
+    return P
 
-    Returns the exponential together with the squaring count.  Works for
-    general square matrices; the degree-13 diagonal approximant is used
-    unconditionally, with the input scaled down until its 1-norm is at
-    most 5.37.  The zero matrix maps to the identity exactly, with 0
-    squarings.
+
+def _pade13_factors(M):
+    """(V + U, V - U): numerator and denominator of the degree-13 diagonal
+    Padé approximant of e^M, evaluated in M's own format.
+
+    An ndarray M gives ndarrays.  A scipy.sparse M keeps its powers and
+    factors sparse until one of them stores more than a quarter of its
+    entries; from that power on the evaluation is dense.
     """
-    M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(math.ceil(math.log2(norm / _THETA13)))
-        M = M / (2.0 ** squarings)
     b = _PADE13
-    ident = np.eye(M.shape[0])
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M2 @ M4
+    n = M.shape[0]
+    if isinstance(M, np.ndarray):
+        ident = np.eye(n)
+    else:
+        from scipy.sparse import eye_array
+        ident = eye_array(n, format="csr")
+    M2 = _fit(M @ M)
+    M4 = _fit(M2 @ M2)
+    M6 = _fit(M2 @ M4)
     U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
     V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
          + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
-    F = scipy.linalg.solve(V - U, V + U)
+    return _fit(V + U), _fit(V - U)
+
+
+def _dense(P) -> np.ndarray:
+    return P if isinstance(P, np.ndarray) else P.toarray()
+
+
+def pade13_expm(M) -> tuple[np.ndarray, int]:
+    """Matrix exponential e^M by scaling and squaring.
+
+    Returns the exponential, always a dense ndarray, together with the
+    squaring count.  Works for general square matrices, given as an
+    ndarray or in a scipy.sparse format; the degree-13 diagonal
+    approximant is used unconditionally, with the input scaled down until
+    its 1-norm is at most 5.37.  A sparse M has its Padé factors built in
+    sparse products while they stay sparse (see :func:`_pade13_factors`);
+    the solve and the squarings are dense.  The zero matrix maps to the
+    identity exactly, with 0 squarings.
+    """
+    # a sparse M means scipy.sparse is loaded already, so dense callers
+    # never pay its import
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(M):
+        from scipy.sparse.linalg import norm as sparse_norm
+        M = sparse.csr_array(M, dtype=float)
+        norm = sparse_norm(M, 1)
+    else:
+        M = np.asarray(M, dtype=float)
+        norm = np.linalg.norm(M, 1)
+    squarings = 0
+    if norm > _THETA13:
+        squarings = int(math.ceil(math.log2(norm / _THETA13)))
+        M = M / (2.0 ** squarings)
+    P, Q = _pade13_factors(M)
+    F = scipy.linalg.solve(_dense(Q), _dense(P))
     for _ in range(squarings):
         F = F @ F
     return F, squarings
@@ -117,6 +181,34 @@ _unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
 )
 
 
+def _scaling(op: OperatorRep, t: float):
+    """(s, S): the squaring count of e^{-tS}, and S in the format its Padé
+    factors are built in, CSR from order ``_SPARSE_MIN_N`` on.
+
+    Raises NumericsError when t ||S||_1 overflows, which no scaling can
+    bring into the approximant's range.
+    """
+    norm = t * float(np.linalg.norm(op.S, 1))
+    if not math.isfinite(norm):
+        raise NumericsError(
+            f"scaling-squaring at t = {t}: t ||S||_1 = {norm} needs "
+            f"s = inf squarings")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    if op.n < _SPARSE_MIN_N:
+        return s, op.S
+    from scipy.sparse import csr_array
+    return s, csr_array(op.S)
+
+
+def _finite(x: np.ndarray, t: float, s: int) -> np.ndarray:
+    """x, checked to hold no overflow after the s squarings of e^{-tS}."""
+    if not np.all(np.isfinite(x)):
+        raise NumericsError(
+            f"scaling-squaring at t = {t}: e^(-tS) is not finite after "
+            f"s = {s} squarings")
+    return x
+
+
 def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     """e^{-tS} by :func:`pade13_expm`; read-only and kept per operator at t = 1.
 
@@ -124,34 +216,63 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     factorization identity, positivity), so one n x n matrix per live
     operator is stored; every other time is computed afresh.
     """
-    if t != 1.0:
-        return pade13_expm(-t * op.S)[0]
-    E = _unit_time_cache.get(op)
+    E = _unit_time_cache.get(op) if t == 1.0 else None
     if E is None:
-        E, _ = pade13_expm(-t * op.S)
-        E.setflags(write=False)
-        _unit_time_cache[op] = E
+        _, S = _scaling(op, t)
+        E, s = pade13_expm(S * -t)
+        _finite(E, t, s)
+        if t == 1.0:
+            E.setflags(write=False)
+            _unit_time_cache[op] = E
     return E
 
 
 def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
-    """e^{-tS} v as F^(2^k) v, where F is the matrix that
-    ``pade13_expm(-tS)`` holds with k of its s squarings still to do.
+    """e^{-tS} v by the Padé approximant F of e^{-tS / 2^s} that
+    ``pade13_expm(-tS)`` squares s times, applied to v by whichever of
+    two routes costs fewer weighted flops.
 
+    Dense route: F is the matrix ``pade13_expm(-tS)`` holds with k of its
+    s squarings still to do, and the last 2^k factors go to the vector.
     Leaving the k-th squaring to the vector saves 2n^3 flops and costs
     2^(k-1) more matrix-vector products of 2n^2 flops each.  Those are
     memory-bound and run at a few times lower flop rate, so they count
     four-fold, and the trade pays while 2^(k+1) <= n, i.e. for
     k <= floor(log2 n) - 1.  Scaling S by -t / 2^k is exact, so F is
-    bit-for-bit that intermediate matrix.
+    bit-for-bit that intermediate matrix.  The route costs the solve
+    (8/3 n^3 flops), the s - k squarings (2n^3 each) and the 2^k
+    products.
+
+    Vector route, when S is handed over in CSR format and the Padé
+    factors V + U and V - U of -tS / 2^s stay sparse: V - U is factored
+    once by a sparse LU, and 2^s steps v <- lu.solve((V + U) v) apply
+    F^(2^s) without forming an n x n matrix.  A step costs about
+    4 nnz(V + U) flops (the LU fill measured 1 to 2.2 times that of
+    V - U), counted ``_VECTOR_WEIGHT``-fold.  On long paths this route
+    wins for moderate s; on stiff operators (large s), on short-diameter
+    graphs, whose factors fill, and on small graphs the dense route runs.
     """
-    norm = t * np.linalg.norm(op.S, 1)
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    k = min(s, max(op.n.bit_length() - 2, 0))
-    F, _ = pade13_expm(op.S * (-t / 2.0 ** k))
+    s, S = _scaling(op, t)
+    n, k = op.n, min(s, max(op.n.bit_length() - 2, 0))
+    dense_flops = (8 / 3 + 2 * (s - k)) * n ** 3 + 2 ** (k + 3) * n ** 2
+
+    def vector_pays(nnz):
+        return 2 ** s * 4 * _VECTOR_WEIGHT * nnz <= dense_flops
+
+    # the factors store at least S's entries, so build them only if the
+    # vector route could pay with that few
+    if not isinstance(S, np.ndarray) and vector_pays(S.nnz):
+        P, Q = _pade13_factors(S * (-t / 2.0 ** s))
+        if not isinstance(P, np.ndarray) and vector_pays(P.nnz):
+            from scipy.sparse.linalg import splu
+            lu = splu(Q.tocsc())
+            for _ in range(2 ** s):
+                v = lu.solve(P @ v)
+            return _finite(v, t, s)
+    F, _ = pade13_expm(S * (-t / 2.0 ** k))
     for _ in range(2 ** k):
         v = F @ v
-    return v
+    return _finite(v, t, s)
 
 
 def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int
@@ -227,8 +348,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
         Function on the vertices.
     method : SemigroupMethod, optional
         Defaults to the spectral path.  Scaling-squaring at t = 1 multiplies
-        by the e^{-S} kept per operator; at other times it stops squaring
-        while 2^k factors remain and applies them to the vector.
+        by the e^{-S} kept per operator; at other times it applies the
+        last 2^k Padé factors to the vector, or all 2^s of them through
+        one sparse LU when their sparsity makes that cheaper.
 
     Raises
     ------
@@ -236,6 +358,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
         If t is not finite.
     NegativeTime
         If t < 0.
+    NumericsError
+        If scaling-squaring overflows: t ||S||_1 or the result is not
+        finite.
     KrylovBreakdown
         If the Krylov path fails to converge after two restarts.
     """
@@ -289,6 +414,8 @@ def heat_kernel(op: OperatorRep, t: float,
     returned ``p`` is always a fresh, writable array.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
+    Scaling-squaring raises NumericsError when t ||S||_1 or e^{-tS} is
+    not finite.
     """
     _check_finite(t)
     if t <= 0:

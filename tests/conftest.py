@@ -56,16 +56,27 @@ def two_triangles():
     return build_graph(verts, edges)
 
 
-@pytest.fixture
-def stiff_star_op():
-    """Discretized star with Dirichlet leaves at h = 0.02: ||S|| ~ 1e4."""
+def _stiff_star(h):
     mg = validate_metric_graph({
         "vertices": [{"id": "o"}] + [{"id": f"leaf{e}", "bc": "dirichlet"}
                                      for e in range(3)],
         "edges": [{"id": f"e{e}", "i": "o", "j": f"leaf{e}", "l": length}
                   for e, length in enumerate((0.6, 0.8, 1.0))],
     })
-    return assemble(discretize(mg, 0.02))
+    return assemble(discretize(mg, h))
+
+
+@pytest.fixture
+def stiff_star_op():
+    """Discretized star with Dirichlet leaves at h = 0.02: ||S|| ~ 1e4."""
+    return _stiff_star(0.02)
+
+
+@pytest.fixture
+def fine_star_op():
+    """The same star at h = 0.008, large enough (n ~ 300) that the
+    scaling-squaring evaluator builds its Padé factors from sparse S."""
+    return _stiff_star(0.008)
 
 
 @pytest.fixture

@@ -104,6 +104,21 @@ def test_groundstate_without_gap_exits_2(tmp_path, data_dir, capsys):
     assert err["exit_code"] == 2
 
 
+def test_kernel_overflowing_squarings_exit_2(tmp_path, capsys):
+    # unit path on 3 vertices: at t = 1e300 the squarings overflow
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": v, "m": 1.0, "c": 0.0} for v in "123"],
+        "edges": [{"u": "1", "v": "2", "b": 1.0},
+                  {"u": "2", "v": "3", "b": 1.0}]}))
+    code = main(["kernel", "--graph", str(graph), "--t", "1e300",
+                 "--method", "expm", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericsError"
+    assert "t = 1e+300" in err["message"]
+
+
 def test_positivity_verdicts(tmp_path, data_dir):
     assert main(["positivity", "--graph", str(data_dir / "path3.json"),
                  "--out", str(tmp_path / "conn")]) == 0

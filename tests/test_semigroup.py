@@ -1,19 +1,28 @@
 import gc
+import math
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+from scipy.sparse import csr_array, issparse
 
 from heatlab import assemble, build_graph, semigroup
 from heatlab.asymptotics import TimeGrid, positivity_improving, rate_kernel
 from heatlab.errors import (
     NegativeTime,
     NonPositiveTime,
+    NumericsError,
     SingularShift,
     ValidationError,
 )
-from heatlab.operators import eigendecompose
+from heatlab.operators import eigendecompose, shift_by_potential
 from heatlab.semigroup import (
     KRYLOV,
     SCALING_SQUARING,
@@ -236,6 +245,29 @@ def test_powered_apply_matches_full_squaring_and_spectral(t, stiff_star_op):
             assert op.norm(got - ref) <= bound
 
 
+def _csr_fully_squared(op, t, f):
+    """As _fully_squared, with S handed to pade13_expm in CSR format, the
+    way the dense route of the scaling-squaring apply hands it."""
+    rs = np.sqrt(op.m)
+    return (pade13_expm(csr_array(op.S) * -t)[0] @ (rs * f)) / rs
+
+
+def _dense(M):
+    return M.toarray() if issparse(M) else M
+
+
+def _recorded_pade(monkeypatch):
+    calls = []
+
+    def recorded(M):
+        out = pade13_expm(M)
+        calls.append((M, out))
+        return out
+
+    monkeypatch.setattr(semigroup, "pade13_expm", recorded)
+    return calls
+
+
 def test_powered_apply_without_vector_factors_is_unchanged(rng):
     cases = [(assemble(build_graph(1, [])), 10.0),
              (assemble(build_graph(1, [], c=[2.0])), 10.0)]
@@ -247,28 +279,139 @@ def test_powered_apply_without_vector_factors_is_unchanged(rng):
         f = random_vector(rng, op.n)
         npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
                                _fully_squared(op, t, f))
+    # from n = 256 on S goes to pade13_expm in CSR format; a short-diameter
+    # graph's factors fill, so it takes the same full route
+    op = assemble(random_graph(rng, n_max=400))
+    while op.n < 256:
+        op = assemble(random_graph(rng, n_max=400))
+    t = 2.0 / np.linalg.norm(op.S, 1)
+    f = random_vector(rng, op.n)
+    npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
+                           _csr_fully_squared(op, t, f))
 
 
-def test_powered_apply_leaves_last_squarings_to_the_vector(monkeypatch):
-    op = _seeded_path()
-    calls = []
+def test_powered_apply_leaves_last_squarings_to_the_vector(
+        monkeypatch, stiff_star_op, fine_star_op):
+    # the small star reaches pade13_expm dense, the large one in CSR format
+    for op, sparse in ((stiff_star_op, False), (fine_star_op, True)):
+        assert sparse == (op.n >= 256)
+        S = csr_array(op.S) if sparse else op.S
+        calls = _recorded_pade(monkeypatch)
+        apply(op, 100.0, np.ones(op.n), SCALING_SQUARING)
+        (M, (F, squarings)), = calls
+        full, s = pade13_expm(S * -100.0)
+        k = s - squarings
+        assert k == min(s, int(np.log2(op.n)) - 1) > 0
+        assert issparse(M) == sparse
+        npt.assert_array_equal(_dense(M), _dense(S * (-100.0 / 2.0 ** k)))
+        # F is the matrix the full route holds with k squarings to go
+        for _ in range(k):
+            F = F @ F
+        npt.assert_array_equal(F, full)
 
-    def recorded(M):
-        out = pade13_expm(M)
-        calls.append((M, out))
-        return out
 
-    monkeypatch.setattr(semigroup, "pade13_expm", recorded)
-    apply(op, 100.0, np.ones(op.n), SCALING_SQUARING)
-    (M, (F, squarings)), = calls
-    full, s = pade13_expm(-100.0 * op.S)
-    k = s - squarings
-    assert k == min(s, int(np.log2(op.n)) - 1) > 0
-    npt.assert_array_equal(M, op.S * (-100.0 / 2.0 ** k))
-    # F is the matrix the full route holds with k squarings to go
-    for _ in range(k):
+@pytest.mark.parametrize("t", [10.0, 100.0])
+def test_powered_apply_vector_route_forms_no_matrix(monkeypatch, t):
+    # the sparse factors of a long path take the LU route at the times
+    # where 2^s vector steps are cheap
+    op = _seeded_path(700)
+    f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+    calls = _recorded_pade(monkeypatch)
+    got = apply(op, t, f, SCALING_SQUARING)
+    assert calls == []
+    ref = _csr_fully_squared(op, t, f)
+    cond = 100 * np.finfo(float).eps * t * np.linalg.norm(op.S, 1)
+    assert op.norm(got - ref) <= (1e-9 + cond) * op.norm(ref)
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308])
+def test_scaling_squaring_names_overflow_at_huge_time(path3, t):
+    # at 1e300 the squarings overflow, at 1e308 so does t ||S||_1
+    op = assemble(path3)
+    for evaluate in (lambda: apply(op, t, [1.0, 0.0, 0.0], SCALING_SQUARING),
+                     lambda: heat_kernel(op, t, SCALING_SQUARING)):
+        with pytest.raises(NumericsError, match=re.escape(f"t = {t}")) as exc:
+            evaluate()
+        assert "s = " in str(exc.value)
+
+
+def _shifted_graph_op(rng):
+    op = assemble(random_graph(rng, n_max=40))
+    shifted = shift_by_potential(op, np.full(op.n, 3.0))
+    energies = np.linalg.eigvalsh(shifted.S)
+    assert energies[0] < 0 < energies[-1]
+    return shifted
+
+
+def test_pade13_sparse_input_agrees_with_dense(rng, stiff_star_op):
+    ops = [_seeded_path(), stiff_star_op, _shifted_graph_op(rng),
+           assemble(random_graph(rng, n_max=40, connected=False))]
+    eps = np.finfo(float).eps
+    for op in ops:
+        for t in (1.0, 10.0):
+            want, s = pade13_expm(-t * op.S)
+            got, s_sparse = pade13_expm(csr_array(op.S) * -t)
+            assert isinstance(got, np.ndarray) and s_sparse == s
+            bound = 1e-9 + 100 * eps * t * np.linalg.norm(op.S, 1)
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def test_pade13_factors_of_short_diameter_graph_come_back_dense():
+    rng = np.random.default_rng(11)
+    op = assemble(random_graph(rng, n_max=200))
+    while op.n < 100:
+        op = assemble(random_graph(rng, n_max=200))
+    for factor in semigroup._pade13_factors(csr_array(-op.S)):
+        assert isinstance(factor, np.ndarray)
+    for factor in semigroup._pade13_factors(csr_array(-_seeded_path().S)):
+        assert issparse(factor)
+
+
+def _pade13_dense_reference(M):
+    """The body of pade13_expm before it took sparse input, kept verbatim."""
+    M = np.asarray(M, dtype=float)
+    norm = np.linalg.norm(M, 1)
+    squarings = 0
+    if norm > semigroup._THETA13:
+        squarings = int(math.ceil(math.log2(norm / semigroup._THETA13)))
+        M = M / (2.0 ** squarings)
+    b = semigroup._PADE13
+    ident = np.eye(M.shape[0])
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M2 @ M4
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
+    F = scipy.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
         F = F @ F
-    npt.assert_array_equal(F, full)
+    return F, squarings
+
+
+def test_pade13_dense_input_is_unchanged(rng, stiff_star_op):
+    path = _seeded_path()
+    inputs = [-t * path.S for t in (1.0, 10.0, 100.0)]
+    inputs += [-stiff_star_op.S, np.zeros((5, 5)),
+               rng.standard_normal((30, 30)), -_shifted_graph_op(rng).S]
+    for M in inputs:
+        F, s = pade13_expm(M)
+        want, s_want = _pade13_dense_reference(M)
+        npt.assert_array_equal(F, want)
+        assert s == s_want
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    src = Path(semigroup.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heatlab; print(sorted(m for m in sys.modules "
+         "if m.split('.')[:2] == ['scipy', 'sparse']))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_resolvent_diagonal():
