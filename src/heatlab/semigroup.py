@@ -10,13 +10,13 @@ Three interchangeable evaluators are provided and must agree within
     input scaled so the scaled 1-norm is below 5.37, then repeatedly
     squared.  From n = 256 on, the approximant's numerator and denominator
     are built from S in CSR format, in sparse products while they stay
-    below a quarter fill (long-diameter graphs); the solve and the
+    below a tenth fill (long-diameter graphs); the solve and the
     squarings are dense.
     :func:`apply` at t != 1 either stops squaring while 2^k factors
     remain and applies them to the vector (k <= log2(n) - 1), or, when
-    the factors stayed sparse and 2^s vector steps cost less, applies all
-    2^s factors to the vector through one sparse LU.  A time at which
-    t ||S||_1 or the result is not finite raises NumericsError.
+    2^s <= n and the factors stayed sparse, applies all 2^s factors to
+    the vector through one sparse LU.  A time at which t ||S||_1 or the
+    result is not finite raises NumericsError.
 ``krylov``
     Lanczos with full reorthogonalization on S (default subspace
     dimension 30), restarted at most twice with doubled dimension.
@@ -27,7 +27,6 @@ up to rounding and are never symmetrized by hand.
 from __future__ import annotations
 
 import math
-import sys
 import weakref
 from dataclasses import dataclass
 
@@ -70,21 +69,20 @@ _PADE13 = np.array([
 ])
 _PADE13 = _PADE13 / _PADE13[0]
 # a Padé power or factor that stores more than this share of its n^2
-# entries is converted to dense: short-diameter graphs, whose powers fill
-# within a few products (random graphs by M^4), fall back to BLAS-3, while
-# the powers of long-diameter graphs (paths, discretized metric graphs)
-# stay a few percent full
-_DENSE_FILL = 0.25
+# entries is converted to dense.  Timed on banded weighted Laplacians
+# (n = 300, 500, 700; bandwidth 1-24, so the degree-13 factors fill 4-100 %;
+# scipy 1.17, 2 vCPU), a full factor build took 530-535 ms summed over the
+# 27 graphs with a threshold of 0.075-0.125, 578 ms at 0.05 and 645 ms at
+# 0.25, whose worst graph (n = 700, bandwidth 12) ran 2.4x slower than at
+# 0.1.  Short-diameter graphs, whose powers fill within a few products
+# (random graphs by M^4), fall back to BLAS-3; the powers of long paths
+# and discretized metric graphs stay a few percent full
+_DENSE_FILL = 0.1
 # below this order S reaches the Padé evaluation dense: the ~30
 # scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
 # size, and a dense evaluation on a weighted path breaks even with the
 # sparse one near n = 192 with one BLAS thread, later with two
 _SPARSE_MIN_N = 256
-# a step of the sparse vector route in _powered_apply takes this many
-# times longer per flop than a dense matrix product: measured 25-45x on
-# the factors of a weighted path (n = 700) and a discretized star
-# (n = 496), 2 vCPU with 2 OpenBLAS threads
-_VECTOR_WEIGHT = 32
 # initial Lanczos subspace dimension (doubled on each of two restarts) and
 # the convergence tolerance of the Krylov path
 _KRYLOV_DIM = 30
@@ -108,7 +106,8 @@ KRYLOV = SemigroupMethod("krylov")
 
 
 def _fit(P):
-    """P, as an ndarray once it stores more than a quarter of its entries."""
+    """P, as an ndarray once it stores more than ``_DENSE_FILL`` of its
+    entries."""
     if not isinstance(P, np.ndarray) and P.nnz > _DENSE_FILL * P.shape[0] ** 2:
         return P.toarray()
     return P
@@ -119,8 +118,8 @@ def _pade13_factors(M):
     Padé approximant of e^M, evaluated in M's own format.
 
     An ndarray M gives ndarrays.  A scipy.sparse M keeps its powers and
-    factors sparse until one of them stores more than a quarter of its
-    entries; from that power on the evaluation is dense.
+    factors sparse until one of them stores more than a tenth of its
+    entries (``_DENSE_FILL``); from that power on the evaluation is dense.
     """
     b = _PADE13
     n = M.shape[0]
@@ -143,6 +142,14 @@ def _dense(P) -> np.ndarray:
     return P if isinstance(P, np.ndarray) else P.toarray()
 
 
+def _solved(P, Q, squarings: int) -> np.ndarray:
+    """Q^{-1} P, dense, squared ``squarings`` times."""
+    F = scipy.linalg.solve(_dense(Q), _dense(P))
+    for _ in range(squarings):
+        F = F @ F
+    return F
+
+
 def pade13_expm(M) -> tuple[np.ndarray, int]:
     """Matrix exponential e^M by scaling and squaring.
 
@@ -155,12 +162,15 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     the solve and the squarings are dense.  The zero matrix maps to the
     identity exactly, with 0 squarings.
     """
-    # a sparse M means scipy.sparse is loaded already, so dense callers
-    # never pay its import
-    sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(M):
+    sparse = False
+    if not isinstance(M, np.ndarray):
+        # only non-ndarray input pays the scipy.sparse import
+        from scipy.sparse import issparse
+        sparse = issparse(M)
+    if sparse:
+        from scipy.sparse import csr_array
         from scipy.sparse.linalg import norm as sparse_norm
-        M = sparse.csr_array(M, dtype=float)
+        M = csr_array(M, dtype=float)
         norm = sparse_norm(M, 1)
     else:
         M = np.asarray(M, dtype=float)
@@ -169,11 +179,7 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     if norm > _THETA13:
         squarings = int(math.ceil(math.log2(norm / _THETA13)))
         M = M / (2.0 ** squarings)
-    P, Q = _pade13_factors(M)
-    F = scipy.linalg.solve(_dense(Q), _dense(P))
-    for _ in range(squarings):
-        F = F @ F
-    return F, squarings
+    return _solved(*_pade13_factors(M), squarings), squarings
 
 
 _unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
@@ -229,47 +235,40 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
 
 def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     """e^{-tS} v by the Padé approximant F of e^{-tS / 2^s} that
-    ``pade13_expm(-tS)`` squares s times, applied to v by whichever of
-    two routes costs fewer weighted flops.
+    ``pade13_expm(-tS)`` squares s times, applied to v by one of two
+    routes.
 
-    Dense route: F is the matrix ``pade13_expm(-tS)`` holds with k of its
-    s squarings still to do, and the last 2^k factors go to the vector.
-    Leaving the k-th squaring to the vector saves 2n^3 flops and costs
-    2^(k-1) more matrix-vector products of 2n^2 flops each.  Those are
-    memory-bound and run at a few times lower flop rate, so they count
-    four-fold, and the trade pays while 2^(k+1) <= n, i.e. for
+    Vector route, when S is handed over in CSR format, 2^s <= n and the
+    Padé factors V + U and V - U of -tS / 2^s stay sparse: V - U is
+    factored once by a sparse LU, and 2^s steps v <- lu.solve((V + U) v)
+    apply F^(2^s) without forming an n x n matrix.  Timed against the
+    dense route on weighted paths (n = 256-1200, 2 vCPU) it was 2-10x
+    faster wherever 2^s <= n, and still faster up to 2^s = 2n-6n.
+
+    Dense route, otherwise: F is the matrix ``pade13_expm(-tS)`` holds
+    with k of its s squarings still to do, and the last 2^k factors go to
+    the vector.  Leaving the k-th squaring to the vector saves 2n^3 flops
+    and costs 2^(k-1) more matrix-vector products of 2n^2 flops each.
+    Those are memory-bound and run at a few times lower flop rate, so
+    they count four-fold, and the trade pays while 2^(k+1) <= n, i.e. for
     k <= floor(log2 n) - 1.  Scaling S by -t / 2^k is exact, so F is
-    bit-for-bit that intermediate matrix.  The route costs the solve
-    (8/3 n^3 flops), the s - k squarings (2n^3 each) and the 2^k
-    products.
-
-    Vector route, when S is handed over in CSR format and the Padé
-    factors V + U and V - U of -tS / 2^s stay sparse: V - U is factored
-    once by a sparse LU, and 2^s steps v <- lu.solve((V + U) v) apply
-    F^(2^s) without forming an n x n matrix.  A step costs about
-    4 nnz(V + U) flops (the LU fill measured 1 to 2.2 times that of
-    V - U), counted ``_VECTOR_WEIGHT``-fold.  On long paths this route
-    wins for moderate s; on stiff operators (large s), on short-diameter
-    graphs, whose factors fill, and on small graphs the dense route runs.
+    bit-for-bit that intermediate matrix.  Factors built for the vector
+    route that filled (short-diameter graphs) are finished here rather
+    than built again.
     """
     s, S = _scaling(op, t)
-    n, k = op.n, min(s, max(op.n.bit_length() - 2, 0))
-    dense_flops = (8 / 3 + 2 * (s - k)) * n ** 3 + 2 ** (k + 3) * n ** 2
-
-    def vector_pays(nnz):
-        return 2 ** s * 4 * _VECTOR_WEIGHT * nnz <= dense_flops
-
-    # the factors store at least S's entries, so build them only if the
-    # vector route could pay with that few
-    if not isinstance(S, np.ndarray) and vector_pays(S.nnz):
+    k = min(s, max(op.n.bit_length() - 2, 0))
+    if isinstance(S, np.ndarray) or 2 ** s > op.n:
+        F, _ = pade13_expm(S * (-t / 2.0 ** k))
+    else:
         P, Q = _pade13_factors(S * (-t / 2.0 ** s))
-        if not isinstance(P, np.ndarray) and vector_pays(P.nnz):
+        if not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray):
             from scipy.sparse.linalg import splu
             lu = splu(Q.tocsc())
             for _ in range(2 ** s):
                 v = lu.solve(P @ v)
             return _finite(v, t, s)
-    F, _ = pade13_expm(S * (-t / 2.0 ** k))
+        F = _solved(P, Q, s - k)
     for _ in range(2 ** k):
         v = F @ v
     return _finite(v, t, s)
@@ -349,8 +348,8 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     method : SemigroupMethod, optional
         Defaults to the spectral path.  Scaling-squaring at t = 1 multiplies
         by the e^{-S} kept per operator; at other times it applies the
-        last 2^k Padé factors to the vector, or all 2^s of them through
-        one sparse LU when their sparsity makes that cheaper.
+        last 2^k Padé factors to the vector, or, when 2^s <= n and the
+        factors are sparse, all 2^s of them through one sparse LU.
 
     Raises
     ------

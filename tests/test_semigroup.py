@@ -268,7 +268,19 @@ def _recorded_pade(monkeypatch):
     return calls
 
 
-def test_powered_apply_without_vector_factors_is_unchanged(rng):
+def _counted_factors(monkeypatch):
+    builds = []
+
+    def counted(M):
+        builds.append(M.shape)
+        return factors(M)
+
+    factors = semigroup._pade13_factors
+    monkeypatch.setattr(semigroup, "_pade13_factors", counted)
+    return builds
+
+
+def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
     cases = [(assemble(build_graph(1, [])), 10.0),
              (assemble(build_graph(1, [], c=[2.0])), 10.0)]
     op = assemble(random_graph(rng, n_max=20))
@@ -279,15 +291,19 @@ def test_powered_apply_without_vector_factors_is_unchanged(rng):
         f = random_vector(rng, op.n)
         npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
                                _fully_squared(op, t, f))
-    # from n = 256 on S goes to pade13_expm in CSR format; a short-diameter
-    # graph's factors fill, so it takes the same full route
+    # from n = 256 on S is handed over in CSR format; a short-diameter
+    # graph's factors fill, so the factors built for the vector route are
+    # finished as pade13_expm would finish them, without a second build
     op = assemble(random_graph(rng, n_max=400))
     while op.n < 256:
         op = assemble(random_graph(rng, n_max=400))
     t = 2.0 / np.linalg.norm(op.S, 1)
     f = random_vector(rng, op.n)
-    npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
-                           _csr_fully_squared(op, t, f))
+    want = _csr_fully_squared(op, t, f)
+    calls = _recorded_pade(monkeypatch)
+    builds = _counted_factors(monkeypatch)
+    npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING), want)
+    assert calls == [] and len(builds) == 1
 
 
 def test_powered_apply_leaves_last_squarings_to_the_vector(
@@ -297,8 +313,10 @@ def test_powered_apply_leaves_last_squarings_to_the_vector(
         assert sparse == (op.n >= 256)
         S = csr_array(op.S) if sparse else op.S
         calls = _recorded_pade(monkeypatch)
+        builds = _counted_factors(monkeypatch)
         apply(op, 100.0, np.ones(op.n), SCALING_SQUARING)
         (M, (F, squarings)), = calls
+        assert len(builds) == 1
         full, s = pade13_expm(S * -100.0)
         k = s - squarings
         assert k == min(s, int(np.log2(op.n)) - 1) > 0
