@@ -69,14 +69,13 @@ _PADE13 = np.array([
 ])
 _PADE13 = _PADE13 / _PADE13[0]
 # a Padé power or factor that stores more than this share of its n^2
-# entries is converted to dense.  Timed on banded weighted Laplacians
-# (n = 300, 500, 700; bandwidth 1-24, so the degree-13 factors fill 4-100 %;
-# scipy 1.17, 2 vCPU), a full factor build took 530-535 ms summed over the
-# 27 graphs with a threshold of 0.075-0.125, 578 ms at 0.05 and 645 ms at
-# 0.25, whose worst graph (n = 700, bandwidth 12) ran 2.4x slower than at
-# 0.1.  Short-diameter graphs, whose powers fill within a few products
-# (random graphs by M^4), fall back to BLAS-3; the powers of long paths
-# and discretized metric graphs stay a few percent full
+# entries is converted to dense.  Factor builds timed on 27 banded
+# weighted Laplacians (n = 300-700, factors 4-100 % full; scipy 1.17,
+# 2 vCPU) summed to 530-535 ms at 0.075-0.125, 578 ms at 0.05 and 645 ms
+# at 0.25 (worst graph 97 ms against 42 ms at 0.1).  Short-diameter
+# graphs, whose powers fill within a few products (random graphs by M^4),
+# fall back to BLAS-3; the factors of long paths and discretized metric
+# graphs stay a few percent full
 _DENSE_FILL = 0.1
 # below this order S reaches the Padé evaluation dense: the ~30
 # scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
@@ -242,8 +241,9 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     Padé factors V + U and V - U of -tS / 2^s stay sparse: V - U is
     factored once by a sparse LU, and 2^s steps v <- lu.solve((V + U) v)
     apply F^(2^s) without forming an n x n matrix.  Timed against the
-    dense route on weighted paths (n = 256-1200, 2 vCPU) it was 2-10x
-    faster wherever 2^s <= n, and still faster up to 2^s = 2n-6n.
+    dense route on weighted paths (n = 300-1200, 2 vCPU) it was 1.1-10x
+    faster at every s with 2^s <= n, and still faster up to 2^s = 6n from
+    n = 400 on.
 
     Dense route, otherwise: F is the matrix ``pade13_expm(-tS)`` holds
     with k of its s squarings still to do, and the last 2^k factors go to
