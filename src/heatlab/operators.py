@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -74,6 +75,11 @@ class OperatorRep:
 
     def norm(self, u) -> float:
         return float(np.sqrt(np.sum(np.abs(u) ** 2 * self.m)))
+
+    @cached_property
+    def s_norm1(self) -> float:
+        """||S||_1, the largest absolute column sum of S; computed once."""
+        return float(np.linalg.norm(self.S, 1))
 
 
 def _gershgorin_lower(S: np.ndarray) -> float:

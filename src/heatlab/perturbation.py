@@ -377,7 +377,7 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
     lam = lambda0(op, values)
 
     # central differences with a step tuned to the curvature scale
-    rho = max(float(np.linalg.norm(shifted.S, 1)), 1.0)
+    rho = max(shifted.s_norm1, 1.0)
     delta = (3.0 * np.finfo(float).eps) ** (1.0 / 3.0) / rho
     residuals = np.empty(max(len(grid.times) - 2, 0))
     for j in range(1, len(grid.times) - 1):

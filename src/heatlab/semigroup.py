@@ -11,18 +11,23 @@ Three interchangeable evaluators are provided and must agree within
     squared.  From n = 256 on, the approximant's numerator and denominator
     are built from S in CSR format, in sparse products while they stay
     below a tenth fill (long-diameter graphs); the solve and the
-    squarings are dense.
+    squarings are dense, and before each squaring of sparse-built factors
+    the entries below sqrt(tiny) max|F| are set to 0, which keeps the
+    squarings out of subnormal arithmetic.
     :func:`apply` at t != 1 either stops squaring while 2^k factors
     remain and applies them to the vector (k <= log2(n) - 1), or, when
     2^s <= n and the factors stayed sparse, applies all 2^s factors to
-    the vector through one sparse LU.  A time at which t ||S||_1 or the
-    result is not finite raises NumericsError.
+    the vector through one sparse LU.
 ``krylov``
     Lanczos with full reorthogonalization on S (default subspace
     dimension 30), restarted at most twice with doubled dimension.
 
 All of them go through the symmetrization S; kernels come out symmetric
-up to rounding and are never symmetrized by hand.
+up to rounding and are never symmetrized by hand.  :func:`apply` and
+:func:`heat_kernel` raise NumericsError, naming t, for every method once
+100 eps t ||S||_1 >= 1, where rounding S alone leaves the result without
+a correct digit, and when the result overflows; overflow inside an
+evaluation prints no RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -77,6 +82,17 @@ _PADE13 = _PADE13 / _PADE13[0]
 # fall back to BLAS-3; the factors of long paths and discretized metric
 # graphs stay a few percent full
 _DENSE_FILL = 0.1
+# entries below this share of max |F| are set to 0 before each squaring of
+# sparse-built factors.  Squaring e^{-tS / 2^s} of a long path or a
+# discretized metric graph otherwise runs in subnormal arithmetic: at
+# n = 700 a fifth of its entries lie in 1e-324..1e-154 and one squaring
+# took 44-50 ms against 8 ms with them zeroed (2 vCPU).  The cut is
+# sqrt(tiny), not tiny, because products of two entries below sqrt(tiny)
+# underflow inside the product too (zeroing only subnormals left 64 ms).
+# It sits some 140 orders below the normwise accuracy of scaling-squaring
+_SQUARING_FLOOR = math.sqrt(np.finfo(float).tiny)
+# 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit (_resolved)
+_ROUNDING = 100 * np.finfo(float).eps
 # below this order S reaches the Padé evaluation dense: the ~30
 # scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
 # size, and a dense evaluation on a weighted path breaks even with the
@@ -142,9 +158,18 @@ def _dense(P) -> np.ndarray:
 
 
 def _solved(P, Q, squarings: int) -> np.ndarray:
-    """Q^{-1} P, dense, squared ``squarings`` times."""
+    """Q^{-1} P, dense, squared ``squarings`` times.
+
+    When both factors are sparse, entries below ``_SQUARING_FLOOR`` times
+    the largest are set to 0 before each squaring; factors that filled,
+    and those of dense input, are squared as they are.
+    """
+    floor = not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray)
     F = scipy.linalg.solve(_dense(Q), _dense(P))
     for _ in range(squarings):
+        if floor:
+            size = np.abs(F)
+            F[size < _SQUARING_FLOOR * size.max()] = 0.0
         F = F @ F
     return F
 
@@ -158,8 +183,15 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     approximant is used unconditionally, with the input scaled down until
     its 1-norm is at most 5.37.  A sparse M has its Padé factors built in
     sparse products while they stay sparse (see :func:`_pade13_factors`);
-    the solve and the squarings are dense.  The zero matrix maps to the
-    identity exactly, with 0 squarings.
+    the solve and the squarings are dense.  When the factors stayed
+    sparse, entries of F below sqrt(tiny) max|F| (about 1.5e-154 max|F|)
+    are set to 0 before each squaring.  The far entries of a long path's
+    e^M lie there, and squaring them ran in subnormal arithmetic, about
+    five times slower; products of two entries above the cut stay normal
+    while max|F| is near 1.  The entries dropped sit far below the
+    normwise accuracy of scaling and squaring.  Dense M, and factors that
+    filled, are squared as they are, bit-for-bit as before.  The zero
+    matrix maps to the identity exactly, with 0 squarings.
     """
     sparse = False
     if not isinstance(M, np.ndarray):
@@ -186,31 +218,47 @@ _unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
 )
 
 
+def _resolved(norm: float, where: str) -> None:
+    """Raise NumericsError once rounding S leaves e^{-tS} no correct digit.
+
+    A rounding-size relative change of S moves e^{-tS} by up to about
+    100 eps t ||S||_1 relative to its size; that is the error term of the
+    accuracy bound every evaluator is held to.  From 1 on no evaluator can
+    return a correct digit: on the unit 3-path at t = 1e15 the three
+    methods gave 0.02, 0.24 and 0.30 for 1/3.  ``norm`` is t ||S||_1.
+    """
+    if _ROUNDING * norm >= 1:
+        raise NumericsError(
+            f"{where}: 100 eps t ||S||_1 = {_ROUNDING * norm:.3g} >= 1, so "
+            f"rounding S alone leaves e^(-tS) without a correct digit")
+
+
 def _scaling(op: OperatorRep, t: float):
     """(s, S): the squaring count of e^{-tS}, and S in the format its Padé
     factors are built in, CSR from order ``_SPARSE_MIN_N`` on.
 
-    Raises NumericsError when t ||S||_1 overflows, which no scaling can
-    bring into the approximant's range.
+    Raises NumericsError when 100 eps t ||S||_1 >= 1 (see
+    :func:`_resolved`), in particular when t ||S||_1 overflows, which no
+    scaling can bring into the approximant's range (s = inf).
     """
-    norm = t * float(np.linalg.norm(op.S, 1))
-    if not math.isfinite(norm):
-        raise NumericsError(
-            f"scaling-squaring at t = {t}: t ||S||_1 = {norm} needs "
-            f"s = inf squarings")
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    norm = t * op.s_norm1
+    s = 0
+    if norm > _THETA13:
+        s = (math.ceil(math.log2(norm / _THETA13)) if math.isfinite(norm)
+             else math.inf)
+    _resolved(norm, f"scaling-squaring at t = {t} with s = {s} squarings")
     if op.n < _SPARSE_MIN_N:
         return s, op.S
     from scipy.sparse import csr_array
     return s, csr_array(op.S)
 
 
-def _finite(x: np.ndarray, t: float, s: int) -> np.ndarray:
-    """x, checked to hold no overflow after the s squarings of e^{-tS}."""
+def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
+    """x, checked to hold no overflow of the evaluation at time t."""
     if not np.all(np.isfinite(x)):
         raise NumericsError(
-            f"scaling-squaring at t = {t}: e^(-tS) is not finite after "
-            f"s = {s} squarings")
+            f"{method.tag} at t = {t}: e^(-tL) overflows the floating-point "
+            f"range (the result is not finite)")
     return x
 
 
@@ -224,8 +272,7 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     E = _unit_time_cache.get(op) if t == 1.0 else None
     if E is None:
         _, S = _scaling(op, t)
-        E, s = pade13_expm(S * -t)
-        _finite(E, t, s)
+        E, _ = pade13_expm(S * -t)
         if t == 1.0:
             E.setflags(write=False)
             _unit_time_cache[op] = E
@@ -267,11 +314,11 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
             lu = splu(Q.tocsc())
             for _ in range(2 ** s):
                 v = lu.solve(P @ v)
-            return _finite(v, t, s)
+            return v
         F = _solved(P, Q, s - k)
     for _ in range(2 ** k):
         v = F @ v
-    return _finite(v, t, s)
+    return v
 
 
 def _lanczos_attempt(S: np.ndarray, v: np.ndarray, t: float, dim: int
@@ -319,7 +366,9 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     last_est = np.inf
     for attempt in range(3):
         approx, est = _lanczos_attempt(op.S, v, t, dim)
-        if est <= _KRYLOV_TOL * max(scale, np.linalg.norm(approx)):
+        # an overflow is no breakdown: apply names it
+        if (not np.all(np.isfinite(approx))
+                or est <= _KRYLOV_TOL * max(scale, np.linalg.norm(approx))):
             return approx
         last_est = est
         dim *= 2
@@ -332,6 +381,14 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
 def _check_finite(t: float) -> None:
     if not math.isfinite(t):
         raise ValidationError(f"time t = {t} is not finite")
+
+
+def _check_resolved(op: OperatorRep, t: float, method: SemigroupMethod
+                    ) -> None:
+    """:func:`_resolved` for the spectral and Krylov methods;
+    scaling-squaring checks in :func:`_scaling`, which also names s."""
+    if method.tag != "scaling-squaring":
+        _resolved(t * op.s_norm1, f"{method.tag} at t = {t}")
 
 
 def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
@@ -358,8 +415,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     NegativeTime
         If t < 0.
     NumericsError
-        If scaling-squaring overflows: t ||S||_1 or the result is not
-        finite.
+        If 100 eps t ||S||_1 >= 1, where rounding S alone leaves the
+        result without a correct digit (for scaling-squaring the message
+        names the squaring count s), or if the result overflows.
     KrylovBreakdown
         If the Krylov path fails to converge after two restarts.
     """
@@ -370,19 +428,23 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
+    _check_resolved(op, t, method)
     rs = np.sqrt(op.m)
     v = rs * f
-    if method.tag == "spectral":
-        sd = eigendecompose(op)
-        U = sd.vectors * rs[:, None]
-        ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
-    elif method.tag == "scaling-squaring" and t == 1.0:
-        ev = _exponential(op, t) @ v
-    elif method.tag == "scaling-squaring":
-        ev = _powered_apply(op, t, v)
-    else:
-        ev = _krylov_apply(op, t, v)
-    return ev / rs
+    # an overflow is reported once, by _finite, not as RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.tag == "spectral":
+            sd = eigendecompose(op)
+            U = sd.vectors * rs[:, None]
+            ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
+        elif method.tag == "scaling-squaring" and t == 1.0:
+            ev = _exponential(op, t) @ v
+        elif method.tag == "scaling-squaring":
+            ev = _powered_apply(op, t, v)
+        else:
+            ev = _krylov_apply(op, t, v)
+        ev = ev / rs
+    return _finite(ev, t, method)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,21 +475,35 @@ def heat_kernel(op: OperatorRep, t: float,
     returned ``p`` is always a fresh, writable array.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
-    Scaling-squaring raises NumericsError when t ||S||_1 or e^{-tS} is
-    not finite.
+
+    Raises
+    ------
+    ValidationError
+        If t is not finite.
+    NonPositiveTime
+        If t <= 0.
+    NumericsError
+        If 100 eps t ||S||_1 >= 1, where rounding S alone leaves the
+        kernel without a correct digit (for scaling-squaring the message
+        names the squaring count s), or if the kernel overflows.
+    KrylovBreakdown
+        If a Krylov column fails to converge after two restarts.
     """
     _check_finite(t)
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     method = method or SPECTRAL
-    if method.tag == "spectral":
-        p = kernel_sum(eigendecompose(op), t)
-    elif method.tag == "scaling-squaring":
-        rs = np.sqrt(op.m)
-        p = _exponential(op, t) / np.outer(rs, rs)
-    else:
-        p = np.column_stack([kernel_column(op, t, y, method)
-                             for y in range(op.n)])
+    _check_resolved(op, t, method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.tag == "spectral":
+            p = kernel_sum(eigendecompose(op), t)
+        elif method.tag == "scaling-squaring":
+            rs = np.sqrt(op.m)
+            p = _exponential(op, t) / np.outer(rs, rs)
+        else:
+            p = np.column_stack([kernel_column(op, t, y, method)
+                                 for y in range(op.n)])
+    _finite(p, t, method)
     g = p if t == 1.0 else None
     return HeatKernel(t=float(t), p=p, m=op.m, g=g)
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import re
@@ -418,6 +419,117 @@ def test_pade13_dense_input_is_unchanged(rng, stiff_star_op):
         want, s_want = _pade13_dense_reference(M)
         npt.assert_array_equal(F, want)
         assert s == s_want
+
+
+def _unfloored_pade(M):
+    """pade13_expm of a sparse M, with the same factors and dense solve but
+    every squaring done on the matrix as it is; also returns the number of
+    entries below the squaring floor before the first squaring."""
+    _, s = pade13_expm(M)
+    P, Q = semigroup._pade13_factors(M / 2.0 ** s)
+    F = scipy.linalg.solve(Q.toarray(), P.toarray())
+    size = np.abs(F)
+    below = int(np.sum(size < semigroup._SQUARING_FLOOR * size.max()))
+    for _ in range(s):
+        F = F @ F
+    return F, s, below
+
+
+@pytest.mark.parametrize("t", [1.0, 1000.0])
+def test_sparse_pade_floor_stays_below_the_approximation_error(t):
+    # the far entries of e^{-tS / 2^s} on a long path lie below
+    # sqrt(tiny) max|F| and are zeroed before each squaring
+    op = _seeded_path(700)
+    M = csr_array(op.S) * -t
+    got, s = pade13_expm(M)
+    want, s_want, below = _unfloored_pade(M)
+    assert s == s_want and below > 0
+    scale = np.max(np.abs(want))
+    bound = op.n * 2.0 ** s * semigroup._SQUARING_FLOOR * scale
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("t", [1.0, 100.0])
+def test_sparse_pade_floor_leaves_the_star_unchanged(fine_star_op, t):
+    M = csr_array(fine_star_op.S) * -t
+    got, _ = pade13_expm(M)
+    want, _, below = _unfloored_pade(M)
+    assert below > 0
+    npt.assert_array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sparse_pade_floor_keeps_overflow_visible():
+    # E0 < 0: e^{-tS} grows; the sparse factors of the path are floored
+    # before each squaring, and an infinite max |F| must not floor the
+    # overflow away
+    op = shift_by_potential(_seeded_path(), np.full(300, 3.0))
+    t = 400.0
+    s, S = semigroup._scaling(op, t)
+    P, Q = semigroup._pade13_factors(S * (-t / 2.0 ** s))
+    assert issparse(P) and issparse(Q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(semigroup._solved(P, Q, s)))
+    for evaluate in (lambda: apply(op, t, np.ones(op.n), SCALING_SQUARING),
+                     lambda: heat_kernel(op, t, SCALING_SQUARING)):
+        with pytest.raises(NumericsError, match=re.escape(f"t = {t}")):
+            evaluate()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+@pytest.mark.parametrize("t", [300.0, 1000.0])
+def test_overflowing_results_raise_naming_time(path3, method, t):
+    # E0 = -3: e^{-tL} grows like e^{3t} and leaves the floating range
+    op = shift_by_potential(assemble(path3), np.full(3, 3.0))
+    for evaluate in (lambda: apply(op, t, [1.0, 0.0, 0.0], method),
+                     lambda: heat_kernel(op, t, method)):
+        with pytest.raises(NumericsError, match=re.escape(f"t = {t}")):
+            evaluate()
+
+
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+@pytest.mark.parametrize("t", [1e15, 1e16])
+def test_unresolvable_time_raises_for_every_method(path3, method, t):
+    # 100 eps t ||S||_1 >= 1: rounding S alone leaves no correct digit
+    op = assemble(path3)
+    for evaluate in (lambda: apply(op, t, [1.0, 0.0, 0.0], method),
+                     lambda: heat_kernel(op, t, method)):
+        with pytest.raises(NumericsError, match=re.escape(f"t = {t}")):
+            evaluate()
+
+
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+def test_large_resolvable_time_stays_within_bound(path3, method):
+    op = assemble(path3)
+    t = 1e12
+    f = np.array([1.0, 0.0, 0.0])
+    ref = np.full(3, 1.0 / 3.0)  # the mean of f; e^{-t} is 0 beyond it
+    cond = 100 * np.finfo(float).eps * t * np.linalg.norm(op.S, 1)
+    got = apply(op, t, f, method)
+    assert op.norm(got - ref) <= (1e-9 + cond) * op.norm(ref)
+
+
+@pytest.mark.parametrize("method", ["spectral", "expm", "krylov"])
+def test_cli_huge_time_writes_one_json_error_line(tmp_path, path3, method):
+    graph = tmp_path / "path.json"
+    graph.write_text(
+        '{"vertices": [{"id": "1"}, {"id": "2"}, {"id": "3"}], '
+        '"edges": [{"u": "1", "v": "2", "b": 1.0}, '
+        '{"u": "2", "v": "3", "b": 1.0}]}')
+    src = Path(semigroup.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-m", "heatlab.cli", "kernel", "--graph",
+         str(graph), "--t", "1e300", "--method", method,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "NumericsError" and "t = 1e+300" in err["message"]
 
 
 def test_import_leaves_scipy_sparse_unloaded():
