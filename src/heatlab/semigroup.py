@@ -84,12 +84,13 @@ _PADE13 = _PADE13 / _PADE13[0]
 _DENSE_FILL = 0.1
 # entries below this share of max |F| are set to 0 before each squaring of
 # sparse-built factors.  Squaring e^{-tS / 2^s} of a long path or a
-# discretized metric graph otherwise runs in subnormal arithmetic: at
-# n = 700 a fifth of its entries lie in 1e-324..1e-154 and one squaring
-# took 44-50 ms against 8 ms with them zeroed (2 vCPU).  The cut is
-# sqrt(tiny), not tiny, because products of two entries below sqrt(tiny)
-# underflow inside the product too (zeroing only subnormals left 64 ms).
-# It sits some 140 orders below the normwise accuracy of scaling-squaring
+# discretized metric graph otherwise runs in subnormal arithmetic: on a
+# weighted path with n = 700 a fifth of its entries lie in 1e-324..1e-154,
+# and a squaring took 46 ms against 8.7 ms with them zeroed (2 vCPU).  The
+# cut is sqrt(tiny), not tiny: products of two entries below sqrt(tiny)
+# underflow inside the product too, and zeroing only the subnormal entries
+# left 33 ms.  It sits some 140 orders below the normwise accuracy of
+# scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
 _SQUARING_FLOOR = math.sqrt(np.finfo(float).tiny)
 # 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit (_resolved)
 _ROUNDING = 100 * np.finfo(float).eps

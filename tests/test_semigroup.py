@@ -511,12 +511,12 @@ def test_large_resolvable_time_stays_within_bound(path3, method):
 
 
 @pytest.mark.parametrize("method", ["spectral", "expm", "krylov"])
-def test_cli_huge_time_writes_one_json_error_line(tmp_path, path3, method):
+def test_cli_huge_time_writes_one_json_error_line(tmp_path, method):
     graph = tmp_path / "path.json"
-    graph.write_text(
-        '{"vertices": [{"id": "1"}, {"id": "2"}, {"id": "3"}], '
-        '"edges": [{"u": "1", "v": "2", "b": 1.0}, '
-        '{"u": "2", "v": "3", "b": 1.0}]}')
+    graph.write_text(json.dumps({
+        "vertices": [{"id": v} for v in "123"],
+        "edges": [{"u": "1", "v": "2", "b": 1.0},
+                  {"u": "2", "v": "3", "b": 1.0}]}))
     src = Path(semigroup.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
