@@ -92,7 +92,8 @@ _DENSE_FILL = 0.1
 # left 33 ms.  It sits some 140 orders below the normwise accuracy of
 # scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
 _SQUARING_FLOOR = math.sqrt(np.finfo(float).tiny)
-# 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit (_resolved)
+# 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit
+# (_check_resolution)
 _ROUNDING = 100 * np.finfo(float).eps
 # below this order S reaches the Padé evaluation dense: the ~30
 # scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
@@ -219,7 +220,7 @@ _unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
 )
 
 
-def _resolved(norm: float, where: str) -> None:
+def _check_resolution(norm: float, where: str) -> None:
     """Raise NumericsError once rounding S leaves e^{-tS} no correct digit.
 
     A rounding-size relative change of S moves e^{-tS} by up to about
@@ -239,15 +240,16 @@ def _scaling(op: OperatorRep, t: float):
     factors are built in, CSR from order ``_SPARSE_MIN_N`` on.
 
     Raises NumericsError when 100 eps t ||S||_1 >= 1 (see
-    :func:`_resolved`), in particular when t ||S||_1 overflows, which no
-    scaling can bring into the approximant's range (s = inf).
+    :func:`_check_resolution`), in particular when t ||S||_1 overflows,
+    which no scaling can bring into the approximant's range (s = inf).
     """
     norm = t * op.s_norm1
     s = 0
     if norm > _THETA13:
         s = (math.ceil(math.log2(norm / _THETA13)) if math.isfinite(norm)
              else math.inf)
-    _resolved(norm, f"scaling-squaring at t = {t} with s = {s} squarings")
+    _check_resolution(norm,
+                      f"scaling-squaring at t = {t} with s = {s} squarings")
     if op.n < _SPARSE_MIN_N:
         return s, op.S
     from scipy.sparse import csr_array
@@ -384,14 +386,6 @@ def _check_finite(t: float) -> None:
         raise ValidationError(f"time t = {t} is not finite")
 
 
-def _check_resolved(op: OperatorRep, t: float, method: SemigroupMethod
-                    ) -> None:
-    """:func:`_resolved` for the spectral and Krylov methods;
-    scaling-squaring checks in :func:`_scaling`, which also names s."""
-    if method.tag != "scaling-squaring":
-        _resolved(t * op.s_norm1, f"{method.tag} at t = {t}")
-
-
 def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
           ) -> np.ndarray:
     """Evaluate e^{-tL} f.
@@ -429,7 +423,8 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
-    _check_resolved(op, t, method)
+    if method.tag != "scaling-squaring":  # _scaling checks, naming s
+        _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
     rs = np.sqrt(op.m)
     v = rs * f
     # an overflow is reported once, by _finite, not as RuntimeWarnings
@@ -494,7 +489,8 @@ def heat_kernel(op: OperatorRep, t: float,
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     method = method or SPECTRAL
-    _check_resolved(op, t, method)
+    if method.tag != "scaling-squaring":  # _scaling checks, naming s
+        _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         if method.tag == "spectral":
             p = kernel_sum(eigendecompose(op), t)
