@@ -29,7 +29,6 @@ from .graphs import (
     components,
     dump_graph,
     graph_to_dict,
-    is_connected,
     load_graph,
 )
 from .operators import (
@@ -162,18 +161,8 @@ def parse_vector(spec: str, g: WeightedGraph, op: OperatorRep) -> np.ndarray:
         rng = np.random.default_rng(np.uint64(int(spec.split(":", 1)[1])))
         return rng.uniform(0.1, 1.0, size=g.n)
     if spec.startswith("delta"):
-        label = spec[len("delta"):]
-        try:
-            idx = g.vertex_index(label)
-        except UnknownVertex:
-            try:
-                idx = g.vertex_index(int(label))
-            except (ValueError, UnknownVertex):
-                raise UnknownVertex(
-                    f"{spec!r} matches no vertex id or position"
-                ) from None
         v = np.zeros(g.n)
-        v[idx] = 1.0
+        v[_vertex_label(g, spec[len("delta"):])] = 1.0
         return v
     raise ValidationError(
         f"unknown vector spec {spec!r}; use delta<i>, ones, perron "
@@ -267,10 +256,11 @@ def cmd_groundstate(args) -> int:
 def cmd_positivity(args) -> int:
     g = _require_graph(args)
     verdict = positivity_improving(assemble(g))
+    comps = components(g)
     _write_json(args.out / "positivity.json", {
         "improving": bool(verdict),
-        "connected": bool(is_connected(g)),
-        "components": len(components(g)),
+        "connected": len(comps) == 1,
+        "components": len(comps),
     })
     print(f"positivity: improving={verdict}")
     return 0

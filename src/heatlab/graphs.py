@@ -92,14 +92,6 @@ class WeightedGraph:
         except KeyError:
             raise UnknownVertex(f"unknown vertex id {v!r}") from None
 
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric b-matrix (materialized on demand only)."""
-        B = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            B[i, j] = w
-            B[j, i] = w
-        return B
-
     def recompute_row_sums(self) -> np.ndarray:
         deg = np.zeros(self.n)
         for i, j, w in self.edges:
@@ -236,34 +228,17 @@ def dump_graph(g: WeightedGraph, path) -> None:
         fh.write("\n")
 
 
-def _adjacency(g: WeightedGraph) -> list[list[int]]:
-    nbr: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        nbr[i].append(j)
-        nbr[j].append(i)
-    return nbr
-
-
 def is_connected(g: WeightedGraph) -> bool:
     """Connectivity of the support of b (a single vertex is connected)."""
-    if g.n == 1:
-        return True
-    nbr = _adjacency(g)
-    seen = np.zeros(g.n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        x = queue.popleft()
-        for y in nbr[x]:
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    return bool(seen.all())
+    return len(components(g)) == 1
 
 
 def components(g: WeightedGraph) -> list[list[int]]:
     """Connected components as lists of vertex indices."""
-    nbr = _adjacency(g)
+    nbr: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j, _ in g.edges:
+        nbr[i].append(j)
+        nbr[j].append(i)
     seen = np.zeros(g.n, dtype=bool)
     comps = []
     for start in range(g.n):

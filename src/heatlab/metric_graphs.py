@@ -63,28 +63,6 @@ class MetricGraph:
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in (e[1], e[2]))
 
-    def skeleton_components(self) -> list[set[str]]:
-        """Connected pieces of the underlying combinatorial skeleton."""
-        adjacency: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for _, i, j, _ in self.edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        seen: set[str] = set()
-        pieces = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            stack, piece = [v], set()
-            while stack:
-                u = stack.pop()
-                if u in piece:
-                    continue
-                piece.add(u)
-                stack.extend(adjacency[u] - piece)
-            seen |= piece
-            pieces.append(piece)
-        return pieces
-
 
 def validate_metric_graph(desc: dict) -> MetricGraph:
     """Check a parsed metric-graph description and freeze it.

@@ -29,7 +29,7 @@ from .errors import (
     NegativeWeight,
     ValidationError,
 )
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, is_connected
 from .operators import (
     OperatorRep,
     SpectralAtoms,
@@ -64,7 +64,7 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise NegativeWeight("potentials must be non-negative and finite")
         values.setflags(write=False)
@@ -102,17 +102,19 @@ def lambda0(op: OperatorRep, V) -> float:
     shifted operator is still strictly positive on a connected graph,
     which is asserted here.
     """
-    values = _as_values(op, V)
-    shifted = shift_by_potential(op, values)
-    sd = eigendecompose(shifted)
-    if op.graph is not None:
-        from .graphs import is_connected
+    return _ground_energy(shift_by_potential(op, _as_values(op, V)))
+
+
+def _ground_energy(full: OperatorRep) -> float:
+    """Bottom eigenvalue of ``full`` = L - V, checking its Perron vector."""
+    sd = eigendecompose(full)
+    if full.graph is not None:
         ground = sd.vectors[:, 0]
         # strictly positive in exact arithmetic; leave room for entries
         # that localization pushes below resolution
         floor = -1e-12 * float(np.max(np.abs(ground)))
         start, stop = sd.groups[0]
-        if (is_connected(op.graph) and stop - start == 1
+        if (is_connected(full.graph) and stop - start == 1
                 and not np.all(ground >= floor)):
             raise InvariantViolation(
                 "ground state of L - V lost strict positivity"
@@ -293,7 +295,8 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     slack = math.log1p(1e-10)
     tol = 1e-10 * (1.0 + abs(E))
 
-    lam = lambda0(op, values)
+    full = shift_by_potential(op, values)
+    lam = _ground_energy(full)
     holds_iii = lam >= E - tol
 
     # (i): log ||S_V(t)|| = -t lambda0 exactly, compared per grid time
@@ -301,7 +304,6 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
 
     # (ii): the pairing grows like e^{-t inf supp}; the bound holds for
     # all t iff that bottom stays at or above E
-    full = shift_by_potential(op, values)
     atoms = SpectralAtoms.pairing(eigendecompose(full), f, g)
     support = atoms.supported(1e-12 * norms).energies
     if support.size == 0:
@@ -370,22 +372,20 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
     if np.any(f < 0):
         raise NegativeInitialDatum("initial datum must be non-negative")
     ladder = truncation_ladder(op, values, f, grid, ks)
-    k_star = max(float(np.max(values, initial=0.0)),
-                 float(np.max(f, initial=0.0))) + 1.0
-    shifted = shift_by_potential(op, np.minimum(values, k_star))
-    u = np.array([sg_apply(shifted, t, f) for t in grid.times])
-    lam = lambda0(op, values)
+    full = shift_by_potential(op, values)
+    u = np.array([sg_apply(full, t, f) for t in grid.times])
+    lam = _ground_energy(full)
 
     # central differences with a step tuned to the curvature scale
-    rho = max(shifted.s_norm1, 1.0)
+    rho = max(full.s_norm1, 1.0)
     delta = (3.0 * np.finfo(float).eps) ** (1.0 / 3.0) / rho
     residuals = np.empty(max(len(grid.times) - 2, 0))
     for j in range(1, len(grid.times) - 1):
         t = grid.times[j]
-        forward = sg_apply(shifted, t + delta, f)
-        backward = sg_apply(shifted, t - delta, f)
+        forward = sg_apply(full, t + delta, f)
+        backward = sg_apply(full, t - delta, f)
         du = (forward - backward) / (2.0 * delta)
-        res = du + shifted.A @ u[j]
+        res = du + full.A @ u[j]
         scale = op.norm(u[j])
         residuals[j - 1] = op.norm(res) / max(scale, 1e-300)
 
@@ -398,7 +398,7 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         log_margins[j] = log_u - log_bound
     taus = grid.times[0] * 0.5 ** np.arange(1, 9)
     gaps = np.array([
-        op.norm(sg_apply(shifted, tau, f) - f)
+        op.norm(sg_apply(full, tau, f) - f)
         for tau in taus
     ])
     return ApproximatedSolution(times=grid.times, values=u, ladder=ladder,
@@ -463,6 +463,8 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
         bounds.append(tuple(
             eigendecompose(shift_by_potential(op, np.minimum(values, k))).E0
             for k in ks))
+    if not lams:
+        raise ValidationError("the exhaustion probe needs at least one stage")
     drops = [lams[i] - lams[i + 1] for i in range(len(lams) - 1)]
     diverging = len(lams) >= 3 and len(drops) >= 2 and all(
         d >= margin for d in drops[-2:]

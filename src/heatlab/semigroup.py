@@ -445,16 +445,11 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
 
 @dataclass(frozen=True, eq=False)
 class HeatKernel:
-    """Heat kernel p_t(x, y) = (e^{-tL} delta_y)(x) / m(y) as a matrix.
-
-    ``g`` caches the kernel functions g_x = p_1(x, .) when t == 1 (they
-    are the rows of p); otherwise it is None.
-    """
+    """Heat kernel p_t(x, y) = (e^{-tL} delta_y)(x) / m(y) as a matrix."""
 
     t: float
     p: np.ndarray
     m: np.ndarray
-    g: np.ndarray | None = None
 
 
 def heat_kernel(op: OperatorRep, t: float,
@@ -501,8 +496,7 @@ def heat_kernel(op: OperatorRep, t: float,
             p = np.column_stack([kernel_column(op, t, y, method)
                                  for y in range(op.n)])
     _finite(p, t, method)
-    g = p if t == 1.0 else None
-    return HeatKernel(t=float(t), p=p, m=op.m, g=g)
+    return HeatKernel(t=float(t), p=p, m=op.m)
 
 
 def kernel_column(op: OperatorRep, t: float, y: int,

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from heatlab import assemble, build_graph
+from heatlab import assemble, build_graph, perturbation
 from heatlab.asymptotics import TimeGrid, rate_inner
 from heatlab.errors import (
     NegativeInitialDatum,
@@ -20,7 +20,7 @@ from heatlab.perturbation import (
     truncated_semigroup,
     truncation_ladder,
 )
-from heatlab.semigroup import trotter
+from heatlab.semigroup import apply, trotter
 from heatlab.verify import random_graph, random_vector
 
 # bottom root of x^2 + x - 3 = 0: lambda0 of the unit edge with V=(3,0)
@@ -237,3 +237,55 @@ def test_probe_truncation_bounds_dominate():
         bounds = np.asarray(row)
         assert np.all(np.diff(bounds) <= 1e-12)
         assert np.all(bounds >= lam - 1e-10 * (1 + abs(lam)))
+
+
+def test_potential_leaves_caller_array_writable(single_edge_op):
+    v = np.array([3.0, 0.0])
+    Potential(v)
+    v[1] = 0.5
+    lambda0(single_edge_op, v)
+    v[0] = 2.0
+    npt.assert_array_equal(v, [2.0, 0.5])
+
+
+def test_probe_rejects_empty_stage_list():
+    with pytest.raises(ValidationError, match="at least one stage"):
+        exhaustion_divergence_probe([])
+
+
+def _count_shifts(monkeypatch):
+    calls = []
+
+    def counted(op, V):
+        calls.append(op)
+        return shift_by_potential(op, V)
+
+    monkeypatch.setattr(perturbation, "shift_by_potential", counted)
+    return calls
+
+
+def test_perturbation_calls_build_l_minus_v_once(rng, monkeypatch):
+    # one L - V per call plus one L - V^k per truncation level
+    op = assemble(random_graph(rng, n_max=20))
+    V = rng.uniform(0.0, 2.0, size=op.n)
+    f = random_vector(rng, op.n, positive=True)
+    grid = TimeGrid.geometric(count=4)
+    ks = [0.0, 1.0, 3.0]
+    E = lambda0(op, V) - 0.1
+    calls = _count_shifts(monkeypatch)
+    admissibility_check(op, V, E, f, f, grid, ks)
+    assert len(calls) == len(ks) + 1
+    calls.clear()
+    approximated_solution(op, V, f, grid, ks)
+    assert len(calls) == len(ks) + 1
+
+
+def test_approximated_solution_values_are_the_full_semigroup(rng):
+    op = assemble(random_graph(rng, n_max=20))
+    V = rng.uniform(0.0, 2.0, size=op.n)
+    f = random_vector(rng, op.n, positive=True)
+    grid = TimeGrid.geometric(count=4)
+    sol = approximated_solution(op, V, f, grid, ks=[0.0, 1.0])
+    full = shift_by_potential(op, V)
+    for t, u in zip(grid.times, sol.values):
+        npt.assert_array_equal(u, apply(full, t, f))

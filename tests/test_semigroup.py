@@ -155,13 +155,6 @@ def test_disconnected_kernel_vanishes_exactly(two_triangles):
     assert np.max(np.abs(K.p[:3, 3:])) == 0.0
 
 
-def test_kernel_caches_g_family_at_t1(single_edge_op):
-    K = heat_kernel(single_edge_op, 1.0)
-    assert K.g is not None
-    npt.assert_array_equal(K.g, K.p)
-    assert heat_kernel(single_edge_op, 2.0).g is None
-
-
 def _unit_time_results(op_for, f):
     grid = TimeGrid.geometric(1.0, 2.0, 4)
     ids = op_for().graph.vertices
