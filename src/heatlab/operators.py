@@ -106,18 +106,45 @@ def assemble(g: WeightedGraph) -> OperatorRep:
     return OperatorRep(n=g.n, A=A, S=S, m=g.m.copy(), lower_bound=0.0, graph=g)
 
 
+# shifted operators of the most recently shifted base operator, by the
+# bytes of the potential; the entry dies with its base operator
+_shift_cache: "weakref.WeakKeyDictionary[OperatorRep, dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     """Operator for L - V, i.e. c replaced by c - V m.
 
     V >= 0 makes the effective killing term sign-indefinite, so the
     certified lower bound falls back to Gershgorin on S - diag(V).
+
+    The shifts of the latest base operator are kept: for an equal
+    potential (bit for bit) on the same ``op`` the same read-only
+    operator comes back, so :func:`eigendecompose` decomposes each
+    L - V once across calls.  They are released when another base
+    operator is shifted or ``op`` dies, so the memory held is at most
+    one base operator's levels (their A and S, and the eigendata
+    cached for them).
     """
     V = np.asarray(getattr(V, "values", V), dtype=float)
     if V.shape != (op.n,):
         raise ValueError(f"potential must have shape ({op.n},)")
-    S = op.S - np.diag(V)
-    return OperatorRep(n=op.n, A=op.A - np.diag(V), S=S, m=op.m,
-                       lower_bound=_gershgorin_lower(S), graph=op.graph)
+    if op not in _shift_cache:
+        _shift_cache.clear()
+    shifts = _shift_cache.setdefault(op, {})
+    key = V.tobytes()
+    shifted = shifts.get(key)
+    if shifted is None:
+        A = op.A - np.diag(V)
+        S = op.S - np.diag(V)
+        A.setflags(write=False)
+        S.setflags(write=False)
+        shifted = OperatorRep(n=op.n, A=A, S=S, m=op.m,
+                              lower_bound=_gershgorin_lower(S),
+                              graph=op.graph)
+        shifts[key] = shifted
+    return shifted
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +153,6 @@ class SpectralData:
 
     ``eigenvalues`` ascending; ``vectors`` has m-orthonormal eigenvector
     columns, each signed so its first nonvanishing coordinate is positive.
-    ``P`` projects onto the E0 eigenspace (m-selfadjoint, P @ P = P) and
     ``groups`` lists the index ranges of numerically equal eigenvalues.
     """
 
@@ -134,8 +160,15 @@ class SpectralData:
     vectors: np.ndarray
     m: np.ndarray
     E0: float
-    P: np.ndarray
     groups: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Projection onto the E0 eigenspace (m-selfadjoint, P @ P = P);
+        formed on first read."""
+        g0, g1 = self.groups[0]
+        ground = self.vectors[:, g0:g1]
+        return ground @ (ground.T * self.m)
 
     @property
     def gap(self) -> float:
@@ -188,7 +221,11 @@ _spectral_cache: "weakref.WeakKeyDictionary[OperatorRep, SpectralData]" = (
 def eigendecompose(op: OperatorRep) -> SpectralData:
     """Dense eigendecomposition of S, mapped back to m-orthonormal vectors.
 
-    Results are cached per operator (operators are immutable).
+    Results are cached per operator (operators are immutable) and die
+    with it.  :func:`shift_by_potential` keeps the shifts of the latest
+    base operator, so each of its L - V is decomposed once; besides the
+    operators callers keep alive, the cache holds the eigendata of at
+    most that one base operator's levels.
 
     Raises
     ------
@@ -216,12 +253,8 @@ def eigendecompose(op: OperatorRep) -> SpectralData:
     lead = phi[np.argmax(sizable, axis=0), np.arange(phi.shape[1])]
     flip = sizable.any(axis=0) & (lead < 0)
     phi[:, flip] = -phi[:, flip]
-    groups = _group_eigenvalues(w)
-    g0, g1 = groups[0]
-    ground = phi[:, g0:g1]
-    P = ground @ (ground.T * op.m)
     sd = SpectralData(eigenvalues=w, vectors=phi, m=op.m, E0=float(w[0]),
-                      P=P, groups=groups)
+                      groups=_group_eigenvalues(w))
     _spectral_cache[op] = sd
     return sd
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heatlab import assemble, build_graph
 from heatlab.metric_graphs import discretize, validate_metric_graph
@@ -82,3 +83,18 @@ def fine_star_op():
 @pytest.fixture
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Bytes of every matrix handed to ``scipy.linalg.eigh``: one entry per
+    eigendecompose miss, none per hit."""
+    matrices = []
+    eigh = scipy.linalg.eigh
+
+    def counted(S, *args, **kwargs):
+        matrices.append(np.array(S).tobytes())
+        return eigh(S, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return matrices

@@ -169,6 +169,16 @@ def test_perturb_artifacts(tmp_path, data_dir):
         assert all(b >= a - 1e-9 for a, b in zip(lns, lns[1:]))
 
 
+def test_perturb_decomposes_each_matrix_once(tmp_path, data_dir,
+                                             decompositions):
+    # L - V and L - V^k for k = 0, 1, 2; V^4 = V on this potential
+    assert main(["perturb", "--graph", str(data_dir / "path3.json"),
+                 "--potential", str(data_dir / "well_potential.json"),
+                 "--E", "-3", "--ks", "0,1,2,4",
+                 "--out", str(tmp_path)]) == 0
+    assert len(decompositions) == len(set(decompositions)) == 4
+
+
 def test_solve_artifacts(tmp_path, data_dir):
     assert main(["solve", "--graph", str(data_dir / "path3.json"),
                  "--potential", str(data_dir / "well_potential.json"),

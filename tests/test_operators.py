@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from heatlab import assemble, build_graph, dirichlet_energy
+from heatlab import assemble, build_graph, dirichlet_energy, operators
 from heatlab.errors import ZeroVector
 from heatlab.operators import (
     GROUPING_TOL,
@@ -227,6 +230,45 @@ def test_shift_by_potential_lowers_diagonal(single_edge_op):
     shifted = shift_by_potential(single_edge_op, np.array([3.0, 0.0]))
     npt.assert_allclose(shifted.A, [[-2.0, -1.0], [-1.0, 1.0]])
     assert shifted.lower_bound <= eigendecompose(shifted).E0
+
+
+def test_shift_by_potential_memoizes_read_only_operators(single_edge_op):
+    op = single_edge_op
+    V = np.array([3.0, 0.0])
+    shifted = shift_by_potential(op, V)
+    assert shift_by_potential(op, V.copy()) is shifted
+    assert shift_by_potential(op, np.minimum(V, 5.0)) is shifted
+    # one differing entry is another potential
+    other = shift_by_potential(op, np.array([3.0, 1e-300]))
+    assert other is not shifted
+    assert shift_by_potential(op, np.array([3.0, 1e-300])) is other
+    for M in (shifted.A, shifted.S):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    npt.assert_array_equal(shifted.S, [[-2.0, -1.0], [-1.0, 1.0]])
+
+
+def test_shift_memo_keeps_only_the_latest_base(rng):
+    g = random_graph(rng, n_max=10)
+    V = rng.uniform(0.0, 2.0, size=g.n)
+    first, second = assemble(g), assemble(g)
+    held = weakref.ref(shift_by_potential(first, V))
+    gc.collect()
+    assert held() is not None
+    # shifting another base operator releases the first one's shifts
+    kept = shift_by_potential(second, V)
+    gc.collect()
+    assert held() is None
+    assert list(operators._shift_cache.keys()) == [second]
+    npt.assert_array_equal(kept.S, shift_by_potential(first, V).S)
+    # and the entry dies with its base operator
+    assert list(operators._shift_cache.keys()) == [first]
+    held = weakref.ref(shift_by_potential(first, V))
+    del first
+    gc.collect()
+    assert held() is None
+    assert len(operators._shift_cache) == 0
 
 
 def test_dense_solver_size_cutoff():

@@ -40,3 +40,25 @@ def test_every_public_definition_is_referenced():
     unreferenced = sorted(name for name, count in definitions.items()
                           if words[name] <= count)
     assert unreferenced == []
+
+
+def test_module_caches_are_weak_keyed():
+    # a module-level cache must die with the operators it serves
+    package = Path(heatlab.__file__).parent
+    caches = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_cache"):
+                    caches[f"{path.stem}.{target.id}"] = ast.unparse(value)
+    assert {"operators._spectral_cache", "operators._shift_cache",
+            "semigroup._unit_time_cache"} <= caches.keys()
+    assert {name: value for name, value in caches.items()
+            if value != "weakref.WeakKeyDictionary()"} == {}

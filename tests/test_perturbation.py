@@ -289,3 +289,41 @@ def test_approximated_solution_values_are_the_full_semigroup(rng):
     full = shift_by_potential(op, V)
     for t, u in zip(grid.times, sol.values):
         npt.assert_array_equal(u, apply(full, t, f))
+
+
+def _perturbation_outputs(make_op, V, f, grid, ks):
+    lam = lambda0(make_op(), V)
+    return [lam,
+            admissibility_check(make_op(), V, lam - 0.5, f, f, grid, ks),
+            admissibility_check(make_op(), V, lam + 0.5, f, f, grid, ks),
+            truncation_ladder(make_op(), V, f, grid, ks),
+            approximated_solution(make_op(), V, f, grid, ks),
+            sv_limit(make_op(), V, 1.0, f, ks)]
+
+
+def _assert_same(a, b):
+    if hasattr(a, "__dict__"):
+        assert vars(a).keys() == vars(b).keys()
+        for key in vars(a):
+            _assert_same(vars(a)[key], vars(b)[key])
+    else:
+        npt.assert_array_equal(a, b)
+
+
+def test_perturbation_calls_decompose_each_matrix_once(rng, decompositions):
+    # the calls share the shifts of their operator, so each distinct
+    # matrix is decomposed once: L (sv_limit's free evolution), L - V
+    # and L - V^k for k = 0.5 and 1 (k = 3 exceeds max V, so V^3 = V)
+    g = random_graph(rng, n_max=20)
+    op = assemble(g)
+    V = rng.uniform(0.0, 2.0, size=op.n)
+    f = random_vector(rng, op.n, positive=True)
+    grid = TimeGrid.geometric(count=4)
+    ks = [0.5, 1.0, 3.0]
+    got = _perturbation_outputs(lambda: op, V, f, grid, ks)
+    assert len(decompositions) == len(set(decompositions)) == 4
+
+    # every output again, each call on its own new operator
+    fresh = _perturbation_outputs(lambda: assemble(g), V, f, grid, ks)
+    for a, b in zip(got, fresh):
+        _assert_same(a, b)
