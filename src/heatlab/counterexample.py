@@ -33,8 +33,10 @@ from .errors import (
     InvariantViolation,
     NegativeTime,
     NonPositivePairing,
+    NonPositiveTime,
     ResonantParameters,
     TruncationInsufficient,
+    ValidationError,
 )
 from .semigroup import pade13_expm
 from .asymptotics import RateEstimate, TimeGrid
@@ -138,6 +140,8 @@ def shift_orbit(model: ShiftModel, lam: float, t: float) -> np.ndarray:
     tail bounds on y_mu and y_lam.  At t = 0 it returns y_lam exactly.
     """
     lam = _check_lam(model, lam)
+    if not math.isfinite(t):
+        raise ValidationError(f"time t = {t} is not finite")
     if t < 0:
         raise NegativeTime(f"t = {t} must be non-negative")
     if lam * t > 700.0:
@@ -225,8 +229,10 @@ def is_positivity_improving_shift(model: ShiftModel, t: float,
     at small t).  The bare shift is triangular: its exponential has an
     exactly zero lower triangle at every t, so the verdict is False.
     """
+    if not math.isfinite(t):
+        raise ValidationError(f"time t = {t} is not finite")
     if t <= 0:
-        raise NegativeTime(f"t = {t} must be positive")
+        raise NonPositiveTime(f"t = {t} must be positive")
     if shift_only:
         M = np.zeros((model.N, model.N))
         idx = np.arange(model.N - 1)

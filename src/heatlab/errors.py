@@ -166,7 +166,7 @@ class EigensolverFailure(NumericsError):
 
 
 class KrylovBreakdown(NumericsError):
-    """Krylov evaluation failed to reach tolerance after restarts."""
+    """Shift-and-invert Lanczos did not converge within its step cap."""
 
 
 class NoSpectralGap(NumericsError):

@@ -117,7 +117,8 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     """Operator for L - V, i.e. c replaced by c - V m.
 
     V >= 0 makes the effective killing term sign-indefinite, so the
-    certified lower bound falls back to Gershgorin on S - diag(V).
+    certified lower bound falls back to Gershgorin on S - diag(V).  An
+    all-zero V returns ``op`` itself, whose eigendata are then shared.
 
     The shifts of the latest base operator are kept: for an equal
     potential (bit for bit) on the same ``op`` the same read-only
@@ -130,6 +131,8 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     V = np.asarray(getattr(V, "values", V), dtype=float)
     if V.shape != (op.n,):
         raise ValueError(f"potential must have shape ({op.n},)")
+    if not V.any():
+        return op
     if op not in _shift_cache:
         _shift_cache.clear()
     shifts = _shift_cache.setdefault(op, {})

@@ -13,8 +13,10 @@ from heatlab.counterexample import (
 from heatlab.errors import (
     NegativeTime,
     NonPositivePairing,
+    NonPositiveTime,
     ResonantParameters,
     TruncationInsufficient,
+    ValidationError,
 )
 
 
@@ -147,3 +149,19 @@ def test_positivity_small_time_underflows_to_not_yet():
     # at t -> 0+ the far corner ~t^{N-1}/(N-1)! sits below the smallest
     # subnormal for N=200, so the verdict is "not yet improving"
     assert not is_positivity_improving_shift(shift_model(0.25, N=200), 1e-8)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_name_the_time(t):
+    m = shift_model(0.25)
+    match = f"t = {t} is not finite"
+    with pytest.raises(ValidationError, match=match):
+        shift_orbit(m, 0.75, t)
+    with pytest.raises(ValidationError, match=match):
+        is_positivity_improving_shift(m, t)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_positivity_shift_needs_positive_time(t):
+    with pytest.raises(NonPositiveTime):
+        is_positivity_improving_shift(shift_model(0.25, N=40), t)

@@ -301,6 +301,17 @@ def _perturbation_outputs(make_op, V, f, grid, ks):
             sv_limit(make_op(), V, 1.0, f, ks)]
 
 
+def test_sv_limit_zero_level_shares_the_base_decomposition(rng,
+                                                          decompositions):
+    # L - V^0 is L: sv_limit decomposes L, L - V^1 and L - V (= L - V^3)
+    op = assemble(random_graph(rng, n_max=20))
+    V = rng.uniform(0.0, 3.0, size=op.n)
+    f = random_vector(rng, op.n, positive=True)
+    assert shift_by_potential(op, np.zeros(op.n)) is op
+    sv_limit(op, V, 1.0, f, [0.0, 1.0, 3.0])
+    assert len(decompositions) == len(set(decompositions)) == 3
+
+
 def _assert_same(a, b):
     if hasattr(a, "__dict__"):
         assert vars(a).keys() == vars(b).keys()

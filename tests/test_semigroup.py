@@ -17,6 +17,7 @@ from scipy.sparse import csr_array, issparse
 from heatlab import assemble, build_graph, semigroup
 from heatlab.asymptotics import TimeGrid, positivity_improving, rate_kernel
 from heatlab.errors import (
+    KrylovBreakdown,
     NegativeTime,
     NonPositiveTime,
     NumericsError,
@@ -90,6 +91,52 @@ def test_methods_agree(rng):
         for method in (SCALING_SQUARING, KRYLOV):
             dev = np.linalg.norm(apply(op, 1.3, f, method) - ref)
             assert dev <= 1e-9 * op.norm(f)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_apply_zero_datum_is_zero(path3, method, t):
+    got = apply(assemble(path3), t, np.zeros(3), method)
+    npt.assert_array_equal(got, np.zeros(3))
+
+
+def _assert_krylov_matches_spectral(op, t, f):
+    eps = np.finfo(float).eps
+    ref = apply(op, t, f, SPECTRAL)
+    bound = (1e-9 + 100 * eps * t * np.linalg.norm(op.S, 1)) * op.norm(ref)
+    assert op.norm(apply(op, t, f, KRYLOV) - ref) <= bound
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_krylov_on_the_stiff_star(t, stiff_star_op, fine_star_op):
+    # ||S|| ~ 1e4: e^{-tL} f decays to ~1e-11 of f by t = 10, and the
+    # answer is held to a bound relative to itself; the fine star (n ~ 300)
+    # factors its shifted matrix by sparse LU, the coarse one by Cholesky
+    for op in (stiff_star_op, fine_star_op):
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        _assert_krylov_matches_spectral(op, t, f)
+
+
+def test_krylov_on_a_long_path_at_large_time():
+    n = 500
+    op = assemble(build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)]))
+    f = np.random.default_rng(7).uniform(0.1, 1.0, n)
+    _assert_krylov_matches_spectral(op, 1000.0, f)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_krylov_below_a_negative_lower_bound(rng, t):
+    op = assemble(random_graph(rng, n_max=60))
+    shifted = shift_by_potential(op, rng.uniform(0.0, 3.0, op.n))
+    assert shifted.lower_bound < 0
+    _assert_krylov_matches_spectral(shifted, t, random_vector(rng, op.n))
+
+
+def test_krylov_names_its_step_cap(monkeypatch, fine_star_op):
+    monkeypatch.setattr(semigroup, "_KRYLOV_DIM", 4)
+    f = np.random.default_rng(6).uniform(0.1, 1.0, fine_star_op.n)
+    with pytest.raises(KrylovBreakdown, match="in 4 steps"):
+        apply(fine_star_op, 1.0, f, KRYLOV)
 
 
 def test_pade13_against_dense_spectral():
