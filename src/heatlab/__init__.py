@@ -36,6 +36,7 @@ from .operators import (
     decay_factors,
     eigendecompose,
     kernel_sum,
+    log_sum_exp,
     shift_by_potential,
     spectral_measure,
 )
@@ -108,7 +109,7 @@ __all__ = [
     "dirichlet_energy",
     "OperatorRep", "SpectralData", "SpectralAtoms", "SpectralMeasure",
     "assemble", "eigendecompose", "shift_by_potential", "coefficients",
-    "spectral_measure", "decay_factors", "kernel_sum",
+    "spectral_measure", "decay_factors", "kernel_sum", "log_sum_exp",
     "SemigroupMethod", "SPECTRAL", "SCALING_SQUARING", "KRYLOV",
     "HeatKernel", "apply", "heat_kernel", "kernel_column",
     "kernel_symmetry_defect", "chapman_kolmogorov_defect", "pade13_expm",

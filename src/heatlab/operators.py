@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .errors import EigensolverFailure, InvariantViolation, ZeroVector
 from .graphs import WeightedGraph
@@ -38,6 +36,7 @@ __all__ = [
     "assemble",
     "decay_factors",
     "kernel_sum",
+    "log_sum_exp",
     "shift_by_potential",
     "eigendecompose",
     "coefficients",
@@ -246,8 +245,8 @@ def eigendecompose(op: OperatorRep) -> SpectralData:
             "use the iterative semigroup paths instead"
         )
     try:
-        w, U = scipy.linalg.eigh(op.S)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        w, U = np.linalg.eigh(op.S)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise EigensolverFailure(str(exc)) from exc
     phi = U / np.sqrt(op.m)[:, None]
     # sign convention: first coordinate of nonnegligible size made positive
@@ -266,6 +265,37 @@ def coefficients(sd: SpectralData, f) -> np.ndarray:
     """Expansion coefficients <phi_i, f>_m of f in the eigenbasis."""
     f = np.asarray(f, dtype=float)
     return sd.vectors.T @ (sd.m * f)
+
+
+def log_sum_exp(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """log |sum_j b_j e^{a_j}| and its sign, summed over the last axis.
+
+    The package's one log-domain sum.  It takes the steps of
+    ``scipy.special.logsumexp(a, b=b, axis=-1, return_sign=True)`` in
+    scipy 1.17, so the two agree bit for bit: terms of zero weight are
+    dropped whatever their a, the terms at the largest a are taken out of
+    the sum, and the rest enter through log1p.  Where that leaves no
+    finite value (all weights zero, or a sum that cancels exactly) the
+    direct log |sum_j b_j e^{a_j}| is returned, with sign 0 for a zero
+    sum.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.sum(b * np.exp(a), axis=-1)
+        a = np.where(b == 0, -np.inf, a)
+        a_max = np.max(a, axis=-1, keepdims=True)
+        top = a == a_max
+        m = np.sum(b * top, axis=-1, keepdims=True)
+        rest = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max),
+                      axis=-1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / m)
+        sign = np.sign(rest + 1) * np.sign(m)
+        rest = np.where(rest < -1, -rest - 2, rest)
+        logs = (np.log1p(rest) + np.log(np.abs(m)) + a_max)[..., 0]
+        finite = np.isfinite(logs)
+        return (np.where(finite, logs, np.log(np.abs(direct))),
+                np.where(finite, sign[..., 0], np.sign(direct)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +337,7 @@ class SpectralAtoms:
 
     def log_pairing(self, times) -> tuple[np.ndarray, np.ndarray]:
         """log |sum_i w_i e^{-t E_i}| and its sign, per time."""
-        a = -np.outer(times, self.energies)
-        return logsumexp(a, b=self.weights[None, :], axis=1, return_sign=True)
+        return log_sum_exp(-np.outer(times, self.energies), self.weights)
 
 
 @dataclass(frozen=True, eq=False)

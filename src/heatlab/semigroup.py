@@ -39,7 +39,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     KrylovBreakdown,
@@ -170,7 +169,7 @@ def _solved(P, Q, squarings: int) -> np.ndarray:
     and those of dense input, are squared as they are.
     """
     floor = not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray)
-    F = scipy.linalg.solve(_dense(Q), _dense(P))
+    F = np.linalg.solve(_dense(Q), _dense(P))
     for _ in range(squarings):
         if floor:
             size = np.abs(F)
@@ -343,6 +342,9 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     gamma, sigma = t / 10, op.lower_bound
     M = gamma * op.S
     M[np.diag_indices(n)] += 1 - gamma * sigma
+    # the Krylov route, like the sparse one, pays the scipy import at
+    # first use
+    import scipy.linalg
     if n < _SPARSE_MIN_N:
         solve = functools.partial(scipy.linalg.cho_solve,
                                   scipy.linalg.cho_factor(M))
@@ -405,7 +407,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     Raises
     ------
     ValidationError
-        If t is not finite.
+        If t is not finite, or f has a non-finite entry.
     NegativeTime
         If t < 0.
     NumericsError
@@ -419,6 +421,10 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValidationError(
+            f"datum f is not finite ({np.count_nonzero(~np.isfinite(f))} "
+            f"of its {f.size} entries are inf or nan)")
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
@@ -540,19 +546,22 @@ def resolvent(op: OperatorRep, alpha: float, e0: float | None = None
     """Resolvent (L + alpha)^{-1} for alpha > -E0.
 
     If ``e0`` is supplied the shift is validated against it directly;
-    either way a failed Cholesky factorization of S + alpha (i.e. the
-    shifted operator not being positive definite) raises SingularShift.
+    either way a failed Cholesky factorization S + alpha = C C^T (i.e.
+    the shifted operator not being positive definite) raises
+    SingularShift.  (S + alpha)^{-1} is formed as C^{-T} C^{-1}, which
+    comes out exactly symmetric.
     """
     if e0 is not None and alpha <= -e0:
         raise SingularShift(f"alpha = {alpha} <= -E0 = {-e0}")
     shifted = op.S + alpha * np.eye(op.n)
     try:
-        cho = scipy.linalg.cho_factor(shifted)
-    except scipy.linalg.LinAlgError as exc:
+        C = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError as exc:
         raise SingularShift(
             f"S + {alpha} I is not positive definite; alpha <= -E0"
         ) from exc
-    RS = scipy.linalg.cho_solve(cho, np.eye(op.n))
+    C_inv = np.linalg.inv(C)
+    RS = C_inv.T @ C_inv
     rs = np.sqrt(op.m)
     return RS * np.outer(1.0 / rs, rs)
 

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from heatlab import assemble, build_graph
 from heatlab.metric_graphs import discretize, validate_metric_graph
@@ -87,14 +86,14 @@ def data_dir():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Bytes of every matrix handed to ``scipy.linalg.eigh``: one entry per
+    """Bytes of every matrix handed to ``np.linalg.eigh``: one entry per
     eigendecompose miss, none per hit."""
     matrices = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def counted(S, *args, **kwargs):
         matrices.append(np.array(S).tobytes())
         return eigh(S, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return matrices

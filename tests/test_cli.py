@@ -1,10 +1,15 @@
 """End-to-end runs of the command-line surface on the bundled data."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatlab
 from heatlab import assemble, eigendecompose, heat_kernel, load_graph
 from heatlab.cli import main, parse_vector
 from heatlab.errors import (
@@ -204,6 +209,35 @@ def test_counterexample_artifacts(tmp_path):
     header, rows = read_csv(tmp_path / "counterexample.csv")
     assert header == ["t", "lambda", "log_pairing", "differenced_rate"]
     assert len(rows) == 2 * 60
+
+
+def test_small_graph_calls_load_no_scipy(tmp_path, data_dir):
+    # below the sparse order every dense LAPACK call goes through numpy
+    calls = [
+        ["spectrum", "--graph", str(data_dir / "path3.json")],
+        ["kernel", "--graph", str(data_dir / "k2.json"), "--t", "0.7",
+         "--method", "expm"],
+        ["rate", "--graph", str(data_dir / "path3.json")],
+        ["positivity", "--graph", str(data_dir / "path3.json")],
+        ["perturb", "--graph", str(data_dir / "path3.json"),
+         "--potential", str(data_dir / "well_potential.json"),
+         "--E", "-3", "--ks", "0,1,2,4"],
+        ["counterexample", "--lambda2", "0.6"],
+    ]
+    calls = [args + ["--out", str(tmp_path / args[0])] for args in calls]
+    script = ("import json, sys\n"
+              "from heatlab.cli import main\n"
+              "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules "
+              "if m.startswith('scipy'))]))")
+    src = Path(heatlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                         capture_output=True, text=True, env=env, check=True)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert loaded == []
 
 
 def test_counterexample_rejects_short_tail(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from scipy.special import logsumexp
 
 from heatlab import assemble, build_graph, dirichlet_energy, operators
 from heatlab.errors import ZeroVector
@@ -15,6 +16,7 @@ from heatlab.operators import (
     _group_eigenvalues,
     coefficients,
     eigendecompose,
+    log_sum_exp,
     shift_by_potential,
     spectral_measure,
 )
@@ -159,7 +161,7 @@ def test_eigenvector_signs_match_loop_reference(rng):
                                      random_graph(rng, n_max=10)))
             for _ in range(5)]
     for op in ops:
-        _, U = scipy.linalg.eigh(op.S)
+        _, U = np.linalg.eigh(op.S)
         want = _signed_by_loop(U / np.sqrt(op.m)[:, None])
         npt.assert_array_equal(eigendecompose(op).vectors, want)
     assert any(np.any(eigendecompose(op).vectors[0] == 0.0) for op in ops)
@@ -361,6 +363,33 @@ def test_log_pairing_matches_direct_sum_and_survives_underflow(rng):
     assert sign == 1.0
     assert late == pytest.approx(
         np.log(atoms.weights[0]) - t * atoms.energies[0], rel=1e-13)
+
+
+def test_log_sum_exp_matches_scipy_bit_for_bit(rng):
+    # seeded signed atoms: zero weights, tied energies (several terms at
+    # the largest exponent), weights over 25 decades and t in 1e-2..1e5
+    times = np.geomspace(1e-2, 1e5, 15)
+    for _ in range(300):
+        k = int(rng.integers(1, 12))
+        energies = np.sort(rng.uniform(-2.0, 10.0, k))
+        energies[rng.integers(k)] = energies[0]
+        weights = (rng.choice([-1.0, 1.0], k)
+                   * 10.0 ** rng.uniform(-20.0, 5.0, k))
+        weights[rng.random(k) < 0.2] = 0.0
+        a = -np.outer(times, energies)
+        logs, signs = log_sum_exp(a, weights)
+        want_logs, want_signs = logsumexp(a, b=weights[None, :], axis=1,
+                                          return_sign=True)
+        npt.assert_array_equal(logs, want_logs)
+        npt.assert_array_equal(signs, want_signs)
+    # all weights zero, and a sum that cancels exactly: log 0, sign 0
+    for weights in ([0.0, 0.0], [1.0, -1.0]):
+        a = -np.outer(times, [0.5, 0.5])
+        got = log_sum_exp(a, weights)
+        want = logsumexp(a, b=np.array(weights)[None, :], axis=1,
+                         return_sign=True)
+        npt.assert_array_equal(got, want)
+        npt.assert_array_equal(got, (np.full(15, -np.inf), np.zeros(15)))
 
 
 def test_supported_is_strict_at_threshold():

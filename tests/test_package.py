@@ -62,3 +62,28 @@ def test_module_caches_are_weak_keyed():
             "semigroup._unit_time_cache"} <= caches.keys()
     assert {name: value for name, value in caches.items()
             if value != "weakref.WeakKeyDictionary()"} == {}
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # import heatlab loads no scipy: the sparse and Krylov routes import
+    # it at first use, and dense LAPACK goes through numpy
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda)):
+                yield child
+                yield from module_level(child)
+
+    offenders = []
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in module_level(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []
