@@ -14,10 +14,15 @@ Three interchangeable evaluators are provided and must agree within
     squarings are dense, and before each squaring of sparse-built factors
     the entries below sqrt(tiny) max|F| are set to 0, which keeps the
     squarings out of subnormal arithmetic.
-    :func:`apply` at t != 1 either stops squaring while 2^k factors
-    remain and applies them to the vector (k <= log2(n) - 1), or, when
-    2^s <= n and the factors stayed sparse, applies all 2^s factors to
-    the vector through one sparse LU.
+    e^{-S} is kept per operator once computed.  :func:`apply` at a whole
+    time j >= 2 on an operator that holds it returns (e^{-S})^j v: a copy
+    of e^{-S} is squared, floored the same way, only while j exceeds
+    2^k matrix-vector products (k <= log2(n) - 1), with no Padé factors
+    and no solve.  At other times, and before e^{-S} is held, it either
+    stops squaring while 2^k factors remain and applies them to the
+    vector, or, when 2^s <= n and the factors stayed sparse, applies all
+    2^s factors to the vector through one sparse LU.
+    :func:`heat_kernel` at t != 1 always runs its own Padé chain.
 ``krylov``
     Shift-and-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
     Comput. 27, 2006): one pass of at most 60 steps on solves with
@@ -172,10 +177,20 @@ def _solved(P, Q, squarings: int) -> np.ndarray:
     F = np.linalg.solve(_dense(Q), _dense(P))
     for _ in range(squarings):
         if floor:
-            size = np.abs(F)
-            F[size < _SQUARING_FLOOR * size.max()] = 0.0
+            _floor(F)
         F = F @ F
     return F
+
+
+def _floor(F: np.ndarray) -> None:
+    """Set the entries of F below ``_SQUARING_FLOOR`` max|F| to 0, in place.
+
+    ``np.putmask`` writes the same zeros as boolean indexing without
+    collecting their indices first.  An infinite max|F| zeroes every
+    finite entry and keeps the infinite ones, so an overflow stays visible.
+    """
+    size = np.abs(F)
+    np.putmask(F, size < _SQUARING_FLOOR * size.max(), 0.0)
 
 
 def pade13_expm(M) -> tuple[np.ndarray, int]:
@@ -237,9 +252,8 @@ def _check_resolution(norm: float, where: str) -> None:
             f"rounding S alone leaves e^(-tS) without a correct digit")
 
 
-def _scaling(op: OperatorRep, t: float):
-    """(s, S): the squaring count of e^{-tS}, and S in the format its Padé
-    factors are built in, CSR from order ``_SPARSE_MIN_N`` on.
+def _squarings(op: OperatorRep, t: float):
+    """s, the squaring count of e^{-tS}.
 
     Raises NumericsError when 100 eps t ||S||_1 >= 1 (see
     :func:`_check_resolution`), in particular when t ||S||_1 overflows,
@@ -252,6 +266,14 @@ def _scaling(op: OperatorRep, t: float):
              else math.inf)
     _check_resolution(norm,
                       f"scaling-squaring at t = {t} with s = {s} squarings")
+    return s
+
+
+def _scaling(op: OperatorRep, t: float):
+    """(s, S): the squaring count of e^{-tS} (checked by
+    :func:`_squarings`), and S in the format its Padé factors are built in,
+    CSR from order ``_SPARSE_MIN_N`` on."""
+    s = _squarings(op, t)
     if op.n < _SPARSE_MIN_N:
         return s, op.S
     from scipy.sparse import csr_array
@@ -272,7 +294,9 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
 
     Only t = 1 recurs inside the library (kernel functions, the
     factorization identity, positivity), so one n x n matrix per live
-    operator is stored; every other time is computed afresh.
+    operator is stored; every other time is computed afresh.  The
+    scaling-squaring :func:`apply` at whole times also powers the stored
+    matrix (:func:`_held_power_apply`); whole-time kernels do not.
     """
     E = _unit_time_cache.get(op) if t == 1.0 else None
     if E is None:
@@ -282,6 +306,44 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
             E.setflags(write=False)
             _unit_time_cache[op] = E
     return E
+
+
+def _vector_squarings(n: int) -> int:
+    """max(floor(log2 n) - 1, 0): the most squarings that a scaling-squaring
+    apply on order n leaves to the vector, as 2^k matrix-vector products
+    (see :func:`_powered_apply`)."""
+    return max(n.bit_length() - 2, 0)
+
+
+def _held_power_apply(op: OperatorRep, t: float, v: np.ndarray
+                      ) -> np.ndarray:
+    """e^{-tS} v = E^j v for a whole time j = t >= 2, with E = e^{-S} the
+    matrix kept for ``op`` at t = 1.
+
+    While j exceeds the 2^k matrix-vector products that
+    :func:`_powered_apply` allows (k = :func:`_vector_squarings`), j is
+    halved, the bit it drops goes to the vector, and a copy of E is
+    squared, its entries below ``_SQUARING_FLOOR`` max|F| set to 0 first as
+    in :func:`_solved`; the remaining power goes to the vector.  No Padé
+    factors and no solve: at most ceil(log2(j / 2^k)) squarings, against
+    s - k for a fresh chain.  Raises the fresh route's NumericsError,
+    naming t and s, before any work.
+    """
+    _squarings(op, t)
+    E = _unit_time_cache[op]
+    j, budget = int(t), 2 ** _vector_squarings(op.n)
+    F = E
+    while j > budget:
+        if j & 1:
+            v = F @ v
+        if F is E:  # the held matrix is read-only
+            F = E.copy()
+        _floor(F)
+        F = F @ F
+        j >>= 1
+    for _ in range(j):
+        v = F @ v
+    return v
 
 
 def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
@@ -309,7 +371,7 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     than built again.
     """
     s, S = _scaling(op, t)
-    k = min(s, max(op.n.bit_length() - 2, 0))
+    k = min(s, _vector_squarings(op.n))
     if isinstance(S, np.ndarray) or 2 ** s > op.n:
         F, _ = pade13_expm(S * (-t / 2.0 ** k))
     else:
@@ -400,7 +462,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
         Function on the vertices.
     method : SemigroupMethod, optional
         Defaults to the spectral path.  Scaling-squaring at t = 1 multiplies
-        by the e^{-S} kept per operator; at other times it applies the
+        by the e^{-S} kept per operator, and at a whole time j >= 2 on an
+        operator that keeps it applies (e^{-S})^j, with no new Padé
+        factors.  At other times, or before e^{-S} is kept, it applies the
         last 2^k Padé factors to the vector, or, when 2^s <= n and the
         factors are sparse, all 2^s of them through one sparse LU.
 
@@ -440,6 +504,9 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
             ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
         elif method.tag == "scaling-squaring" and t == 1.0:
             ev = _exponential(op, t) @ v
+        elif (method.tag == "scaling-squaring" and t % 1 == 0
+              and op in _unit_time_cache):
+            ev = _held_power_apply(op, t, v)
         elif method.tag == "scaling-squaring":
             ev = _powered_apply(op, t, v)
         else:
@@ -466,8 +533,11 @@ def heat_kernel(op: OperatorRep, t: float,
     zero (see :func:`~heatlab.operators.kernel_sum`); with
     scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}, where e^{-S} (t = 1)
     is computed once per operator and reused by later calls, by the
-    scaling-squaring :func:`apply` at t = 1 and by the positivity and
-    kernel-factorization checks; other times are not cached.  The
+    scaling-squaring :func:`apply` at t = 1 and at whole times, and by
+    the positivity and kernel-factorization checks.  Every other t,
+    whole times included, runs a fresh Padé chain and is not cached, so
+    that :func:`chapman_kolmogorov_defect` compares independent
+    evaluations rather than powers of one matrix.  The
     returned ``p`` is always a fresh, writable array.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).

@@ -236,8 +236,8 @@ def test_unit_time_exponential_computed_once_per_operator(monkeypatch):
     f = random_vector(np.random.default_rng(8), op.n)
     got = _unit_time_results(lambda: op, f)
     assert len(calls) == 1
-    apply(op, 2.0, f, SCALING_SQUARING)
-    apply(op, 2.0, f, SCALING_SQUARING)
+    apply(op, 2.5, f, SCALING_SQUARING)
+    apply(op, 2.5, f, SCALING_SQUARING)
     assert len(calls) == 3
 
     # every result again, each on its own new operator, so each computes
@@ -391,6 +391,115 @@ def test_powered_apply_vector_route_forms_no_matrix(monkeypatch, t):
     ref = _csr_fully_squared(op, t, f)
     cond = 100 * np.finfo(float).eps * t * np.linalg.norm(op.S, 1)
     assert op.norm(got - ref) <= (1e-9 + cond) * op.norm(ref)
+
+
+def _held(op):
+    """op, with e^{-S} computed and kept by a scaling-squaring apply at
+    t = 1."""
+    apply(op, 1.0, np.ones(op.n), SCALING_SQUARING)
+    assert op in semigroup._unit_time_cache
+    return op
+
+
+def _assert_scaling_squaring_bound(op, t, f, got):
+    cond = 100 * np.finfo(float).eps * t * np.linalg.norm(op.S, 1)
+    for ref in (_fully_squared(op, t, f), apply(op, t, f, SPECTRAL)):
+        # relative to the answer; results that underflow compare absolutely
+        bound = (1e-9 + cond) * op.norm(ref) + 1e-280 * op.norm(f)
+        assert op.norm(got - ref) <= bound
+
+
+def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
+                                                      stiff_star_op):
+    ops = [_seeded_path(700), stiff_star_op,
+           assemble(random_graph(rng, n_max=60))]
+    for op in ops:
+        _held(op)
+        held = semigroup._unit_time_cache[op]
+        kept = held.copy()
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        calls = _recorded_pade(monkeypatch)
+        builds = _counted_factors(monkeypatch)
+        floors = []
+        floor = semigroup._floor
+        monkeypatch.setattr(semigroup, "_floor",
+                            lambda F: floors.append(floor(F)))
+        times = (2.0, 10.0, 1000.0)
+        got = {t: apply(op, t, f, SCALING_SQUARING) for t in times}
+        assert calls == [] and builds == []
+        # one floor per squaring, at most ceil(log2(j / 2^k)) squarings
+        budget = 2 ** (op.n.bit_length() - 2)
+        assert 0 < len(floors) <= sum(max(math.ceil(math.log2(t / budget)), 0)
+                                      for t in times)
+        monkeypatch.undo()
+        assert semigroup._unit_time_cache[op] is held
+        assert not held.flags.writeable
+        npt.assert_array_equal(held, kept)
+        for t, out in got.items():
+            _assert_scaling_squaring_bound(op, t, f, out)
+
+
+def test_whole_time_apply_takes_integer_times(monkeypatch, path3):
+    op = _held(assemble(path3))
+    f = np.array([1.0, 0.0, 0.0])
+    want = apply(op, 7.0, f, SCALING_SQUARING)
+    calls = _recorded_pade(monkeypatch)
+    for t in (7, np.int64(7)):
+        npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING), want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [2.0, 10.0])
+def test_whole_time_apply_grows_below_a_negative_lower_bound(rng, t):
+    # E0 < 0: ||e^{-S}|| > 1 and its powers grow
+    op = _held(_shifted_graph_op(rng))
+    assert op.lower_bound < 0
+    f = random_vector(rng, op.n)
+    _assert_scaling_squaring_bound(op, t, f,
+                                   apply(op, t, f, SCALING_SQUARING))
+
+
+@pytest.mark.parametrize("t", [1e15, 1e300])
+def test_whole_time_apply_names_unresolvable_time(monkeypatch, path3, t):
+    op = _held(assemble(path3))
+    floors = []
+    monkeypatch.setattr(semigroup, "_floor", floors.append)
+    with pytest.raises(NumericsError, match=re.escape(f"t = {t}")) as exc:
+        apply(op, t, [1.0, 0.0, 0.0], SCALING_SQUARING)
+    assert "s = " in str(exc.value)
+    assert floors == []  # raised before the first squaring
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_whole_time_apply_reports_an_overflowing_power(monkeypatch, path3):
+    # E0 = -3: E^300 grows like e^900 and leaves the floating range
+    op = _held(shift_by_potential(assemble(path3), np.full(3, 3.0)))
+    calls = _recorded_pade(monkeypatch)
+    with pytest.raises(NumericsError, match=re.escape("t = 300.0")):
+        apply(op, 300.0, [1.0, 0.0, 0.0], SCALING_SQUARING)
+    assert calls == []
+
+
+def test_whole_time_heat_kernel_runs_a_fresh_chain(monkeypatch, path3):
+    # whole-time kernels stay independent of e^{-S}, so that
+    # p_{t+s} = p_t p_s remains a check and not an identity
+    op = _held(assemble(path3))
+    calls = _recorded_pade(monkeypatch)
+    heat_kernel(op, 2.0, SCALING_SQUARING)
+    assert len(calls) == 1
+
+
+def test_floor_matches_boolean_indexing(rng):
+    F = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-320, 2,
+                                                            (40, 40))
+    for G in (F, np.where(F > 1, np.inf, F)):
+        want = G.copy()
+        size = np.abs(want)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want[size < semigroup._SQUARING_FLOOR * size.max()] = 0.0
+            got = G.copy()
+            semigroup._floor(got)
+        npt.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("t", [1e300, 1e308])
