@@ -63,6 +63,9 @@ _SUPPORT_TOL = 1e-12
 # entrywise positivity threshold relative to the largest entry
 _POSITIVITY_TOL = 1e-13
 _FACTORIZATION_TOL = 1e-9
+# Phi_t above this detects E0 as an eigenvalue (groundstate_limit and
+# eigenvalue_detector's default)
+_DETECTION_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +266,7 @@ class GroundStateProfile:
     is_eigenvalue_detected: bool
 
 
-def groundstate_limit(op: OperatorRep, grid,
-                      detection_threshold: float = 1e-6) -> GroundStateProfile:
+def groundstate_limit(op: OperatorRep, grid) -> GroundStateProfile:
     """Ground-state profile and factorization residuals along the grid.
 
     The residuals are required to decay like e^{-(E1-E0) t}: each one is
@@ -314,7 +316,7 @@ def groundstate_limit(op: OperatorRep, grid,
                 f"{grid.times[j]} escapes the spectral-gap envelope "
                 f"{envelope[j]:.2e}"
             )
-    detected = bool(np.max(Phi) > detection_threshold)
+    detected = bool(np.max(Phi) > _DETECTION_THRESHOLD)
     return GroundStateProfile(times=grid.times, Phi=Phi,
                               Phi_t_history=history,
                               residual_history=residuals,
@@ -322,7 +324,7 @@ def groundstate_limit(op: OperatorRep, grid,
 
 
 def eigenvalue_detector(op: OperatorRep, x, grid,
-                        threshold: float = 1e-6) -> bool:
+                        threshold: float = _DETECTION_THRESHOLD) -> bool:
     """Whether Phi_t(x) = (e^{t E0} p_t(x,x))^{1/2} stays above threshold.
 
     A positive limit detects that E0 is an eigenvalue whose ground state
@@ -367,8 +369,9 @@ def positivity_improving(op: OperatorRep) -> bool:
     threshold is applied to e^{-S}, not to p_1, whose scale depends on
     m.  That exponential is computed once per operator and shared with
     :func:`~heatlab.semigroup.heat_kernel` and the scaling-squaring
-    ``apply`` at t = 1; other times are not cached.  It is cross-checked against entrywise positivity
-    of the resolvent at alpha = 1 - E0 and against graph connectivity.
+    ``apply`` at whole times; other times are not cached.  It is
+    cross-checked against entrywise positivity of the resolvent at
+    alpha = 1 - E0 and against graph connectivity.
     Any disagreement raises PositivityConnectivityMismatch, because for
     graphs these three are provably the same thing.
     """

@@ -14,14 +14,11 @@ Three interchangeable evaluators are provided and must agree within
     squarings are dense, and before each squaring of sparse-built factors
     the entries below sqrt(tiny) max|F| are set to 0, which keeps the
     squarings out of subnormal arithmetic.
-    e^{-S} is kept per operator once computed.  :func:`apply` at a whole
-    time j >= 2 on an operator that holds it returns (e^{-S})^j v: a copy
-    of e^{-S} is squared, floored the same way, only while j exceeds
-    2^k matrix-vector products (k <= log2(n) - 1), with no Padé factors
-    and no solve.  At other times, and before e^{-S} is held, it either
-    stops squaring while 2^k factors remain and applies them to the
-    vector, or, when 2^s <= n and the factors stayed sparse, applies all
-    2^s factors to the vector through one sparse LU.
+    e^{-S} is kept per operator once computed.  :func:`apply` returns
+    F^j v: at a whole time j, F = e^{-S}; at any other time, F is the
+    approximant with its last k squarings still to do and j = 2^k.  A copy
+    of F is squared, floored the same way, only while j exceeds 2^K
+    matrix-vector products, K = floor(log2 n) - 1 >= k.
     :func:`heat_kernel` at t != 1 always runs its own Padé chain.
 ``krylov``
     Shift-and-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
@@ -162,26 +159,6 @@ def _pade13_factors(M):
     return _fit(V + U), _fit(V - U)
 
 
-def _dense(P) -> np.ndarray:
-    return P if isinstance(P, np.ndarray) else P.toarray()
-
-
-def _solved(P, Q, squarings: int) -> np.ndarray:
-    """Q^{-1} P, dense, squared ``squarings`` times.
-
-    When both factors are sparse, entries below ``_SQUARING_FLOOR`` times
-    the largest are set to 0 before each squaring; factors that filled,
-    and those of dense input, are squared as they are.
-    """
-    floor = not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray)
-    F = np.linalg.solve(_dense(Q), _dense(P))
-    for _ in range(squarings):
-        if floor:
-            _floor(F)
-        F = F @ F
-    return F
-
-
 def _floor(F: np.ndarray) -> None:
     """Set the entries of F below ``_SQUARING_FLOOR`` max|F| to 0, in place.
 
@@ -229,7 +206,18 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     if norm > _THETA13:
         squarings = int(math.ceil(math.log2(norm / _THETA13)))
         M = M / (2.0 ** squarings)
-    return _solved(*_pade13_factors(M), squarings), squarings
+    P, Q = _pade13_factors(M)
+    floor = not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray)
+    if not isinstance(P, np.ndarray):
+        P = P.toarray()
+    if not isinstance(Q, np.ndarray):
+        Q = Q.toarray()
+    F = np.linalg.solve(Q, P)
+    for _ in range(squarings):
+        if floor:
+            _floor(F)
+        F = F @ F
+    return F, squarings
 
 
 _unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
@@ -292,11 +280,10 @@ def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
 def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     """e^{-tS} by :func:`pade13_expm`; read-only and kept per operator at t = 1.
 
-    Only t = 1 recurs inside the library (kernel functions, the
-    factorization identity, positivity), so one n x n matrix per live
-    operator is stored; every other time is computed afresh.  The
-    scaling-squaring :func:`apply` at whole times also powers the stored
-    matrix (:func:`_held_power_apply`); whole-time kernels do not.
+    Only t = 1 recurs inside the library (whole-time :func:`apply`, kernel
+    functions, the factorization identity, positivity), so one n x n
+    matrix per live operator is stored; every other time is computed
+    afresh.
     """
     E = _unit_time_cache.get(op) if t == 1.0 else None
     if E is None:
@@ -315,75 +302,40 @@ def _vector_squarings(n: int) -> int:
     return max(n.bit_length() - 2, 0)
 
 
-def _held_power_apply(op: OperatorRep, t: float, v: np.ndarray
-                      ) -> np.ndarray:
-    """e^{-tS} v = E^j v for a whole time j = t >= 2, with E = e^{-S} the
-    matrix kept for ``op`` at t = 1.
+def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
+    """e^{-tS} v = F^j v, with (F, j) chosen from t alone.
 
-    While j exceeds the 2^k matrix-vector products that
-    :func:`_powered_apply` allows (k = :func:`_vector_squarings`), j is
-    halved, the bit it drops goes to the vector, and a copy of E is
-    squared, its entries below ``_SQUARING_FLOOR`` max|F| set to 0 first as
-    in :func:`_solved`; the remaining power goes to the vector.  No Padé
-    factors and no solve: at most ceil(log2(j / 2^k)) squarings, against
-    s - k for a fresh chain.  Raises the fresh route's NumericsError,
+    At a whole time, F = e^{-S}, built and kept by :func:`_exponential`,
+    and j = t.  At any other time, F is the Padé approximant that
+    ``pade13_expm(-tS)`` holds with k = min(s, :func:`_vector_squarings`)
+    of its s squarings still to do, and j = 2^k; scaling S by -t / 2^k is
+    exact, so F is bit-for-bit that intermediate matrix.  While j exceeds
+    the budget of 2^K matrix-vector products, K = :func:`_vector_squarings`,
+    j is halved, the bit it drops goes to the vector, and a copy of F is
+    squared, its entries below ``_SQUARING_FLOOR`` max|F| set to 0 first;
+    the remaining j factors go to the vector.  Leaving the K-th squaring to
+    the vector saves 2n^3 flops and costs 2^(K-1) more matrix-vector
+    products of 2n^2 flops each; those are memory-bound and run at a few
+    times lower flop rate, so they count four-fold, and the trade pays
+    while 2^(K+1) <= n.  Raises the NumericsError of :func:`_squarings`,
     naming t and s, before any work.
     """
-    _squarings(op, t)
-    E = _unit_time_cache[op]
-    j, budget = int(t), 2 ** _vector_squarings(op.n)
-    F = E
-    while j > budget:
+    if t % 1 == 0:
+        _squarings(op, t)  # checks t; powers of e^{-S} need no CSR form of S
+        F, j = _exponential(op, 1.0), int(t)
+    else:
+        s, S = _scaling(op, t)
+        k = min(s, _vector_squarings(op.n))
+        F, j = pade13_expm(S * (-t / 2.0 ** k))[0], 2 ** k
+    while j > 2 ** _vector_squarings(op.n):
         if j & 1:
             v = F @ v
-        if F is E:  # the held matrix is read-only
-            F = E.copy()
+        if not F.flags.writeable:  # the held e^{-S}
+            F = F.copy()
         _floor(F)
         F = F @ F
         j >>= 1
     for _ in range(j):
-        v = F @ v
-    return v
-
-
-def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
-    """e^{-tS} v by the Padé approximant F of e^{-tS / 2^s} that
-    ``pade13_expm(-tS)`` squares s times, applied to v by one of two
-    routes.
-
-    Vector route, when S is handed over in CSR format, 2^s <= n and the
-    Padé factors V + U and V - U of -tS / 2^s stay sparse: V - U is
-    factored once by a sparse LU, and 2^s steps v <- lu.solve((V + U) v)
-    apply F^(2^s) without forming an n x n matrix.  Timed against the
-    dense route on weighted paths (n = 300-1200, 2 vCPU) it was 1.1-10x
-    faster at every s with 2^s <= n, and still faster up to 2^s = 6n from
-    n = 400 on.
-
-    Dense route, otherwise: F is the matrix ``pade13_expm(-tS)`` holds
-    with k of its s squarings still to do, and the last 2^k factors go to
-    the vector.  Leaving the k-th squaring to the vector saves 2n^3 flops
-    and costs 2^(k-1) more matrix-vector products of 2n^2 flops each.
-    Those are memory-bound and run at a few times lower flop rate, so
-    they count four-fold, and the trade pays while 2^(k+1) <= n, i.e. for
-    k <= floor(log2 n) - 1.  Scaling S by -t / 2^k is exact, so F is
-    bit-for-bit that intermediate matrix.  Factors built for the vector
-    route that filled (short-diameter graphs) are finished here rather
-    than built again.
-    """
-    s, S = _scaling(op, t)
-    k = min(s, _vector_squarings(op.n))
-    if isinstance(S, np.ndarray) or 2 ** s > op.n:
-        F, _ = pade13_expm(S * (-t / 2.0 ** k))
-    else:
-        P, Q = _pade13_factors(S * (-t / 2.0 ** s))
-        if not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray):
-            from scipy.sparse.linalg import splu
-            lu = splu(Q.tocsc())
-            for _ in range(2 ** s):
-                v = lu.solve(P @ v)
-            return v
-        F = _solved(P, Q, s - k)
-    for _ in range(2 ** k):
         v = F @ v
     return v
 
@@ -461,12 +413,10 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     f : array_like
         Function on the vertices.
     method : SemigroupMethod, optional
-        Defaults to the spectral path.  Scaling-squaring at t = 1 multiplies
-        by the e^{-S} kept per operator, and at a whole time j >= 2 on an
-        operator that keeps it applies (e^{-S})^j, with no new Padé
-        factors.  At other times, or before e^{-S} is kept, it applies the
-        last 2^k Padé factors to the vector, or, when 2^s <= n and the
-        factors are sparse, all 2^s of them through one sparse LU.
+        Defaults to the spectral path.  Scaling-squaring returns F^j f:
+        at a whole time j, F = e^{-S}, built on first use and kept per
+        operator; at any other time, F is the Padé approximant with its
+        last k squarings left to the 2^k matrix-vector products j = 2^k.
 
     Raises
     ------
@@ -502,11 +452,6 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
             sd = eigendecompose(op)
             U = sd.vectors * rs[:, None]
             ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
-        elif method.tag == "scaling-squaring" and t == 1.0:
-            ev = _exponential(op, t) @ v
-        elif (method.tag == "scaling-squaring" and t % 1 == 0
-              and op in _unit_time_cache):
-            ev = _held_power_apply(op, t, v)
         elif method.tag == "scaling-squaring":
             ev = _powered_apply(op, t, v)
         else:
@@ -532,12 +477,10 @@ def heat_kernel(op: OperatorRep, t: float,
     factors e^{-t E_i} below the normal floating range count as exactly
     zero (see :func:`~heatlab.operators.kernel_sum`); with
     scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}, where e^{-S} (t = 1)
-    is computed once per operator and reused by later calls, by the
-    scaling-squaring :func:`apply` at t = 1 and at whole times, and by
-    the positivity and kernel-factorization checks.  Every other t,
-    whole times included, runs a fresh Padé chain and is not cached, so
-    that :func:`chapman_kolmogorov_defect` compares independent
-    evaluations rather than powers of one matrix.  The
+    is the matrix kept per operator that whole-time :func:`apply` powers.
+    Every other t, whole times included, runs a fresh Padé chain and is
+    not cached, so that :func:`chapman_kolmogorov_defect` compares
+    independent evaluations rather than powers of one matrix.  The
     returned ``p`` is always a fresh, writable array.  The Krylov method
     assembles the kernel column by column, which is also the fallback for
     selected entries when n is large (see :func:`kernel_column`).
@@ -568,21 +511,26 @@ def heat_kernel(op: OperatorRep, t: float,
             rs = np.sqrt(op.m)
             p = _exponential(op, t) / np.outer(rs, rs)
         else:
-            p = np.column_stack([kernel_column(op, t, y, method)
-                                 for y in range(op.n)])
+            p = np.column_stack([apply(op, t, delta, method)
+                                 for delta in np.eye(op.n)]) / op.m
     _finite(p, t, method)
     return HeatKernel(t=float(t), p=p, m=op.m)
 
 
-def kernel_column(op: OperatorRep, t: float, y: int,
+def kernel_column(op: OperatorRep, t: float, y: str | int,
                   method: SemigroupMethod | None = None) -> np.ndarray:
-    """Single kernel column p_t(., y) via one semigroup application."""
+    """Single kernel column p_t(., y) via one semigroup application.
+
+    ``y`` is a vertex id or a position in ``0 .. n - 1``; anything else
+    raises UnknownVertex.
+    """
     _check_finite(t)
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
+    iy = op.graph.vertex_index(y)
     delta = np.zeros(op.n)
-    delta[y] = 1.0
-    return apply(op, t, delta, method) / op.m[y]
+    delta[iy] = 1.0
+    return apply(op, t, delta, method) / op.m[iy]
 
 
 def kernel_symmetry_defect(K: HeatKernel) -> float:

@@ -64,6 +64,30 @@ def test_module_caches_are_weak_keyed():
             if value != "weakref.WeakKeyDictionary()"} == {}
 
 
+def test_each_module_cache_has_one_home():
+    # a cache read through a second door lets a result depend on which
+    # call filled it; every module-level *_cache is named inside exactly
+    # one function of its module
+    homes = {}
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        caches = {node.id for stmt in tree.body
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and node.id.endswith("_cache")}
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))]
+        for cache in caches:
+            homes[f"{path.stem}.{cache}"] = [
+                fn.name for fn in functions
+                if any(isinstance(node, ast.Name) and node.id == cache
+                       for node in ast.walk(fn))]
+    assert homes == {"operators._spectral_cache": ["eigendecompose"],
+                     "operators._shift_cache": ["shift_by_potential"],
+                     "semigroup._unit_time_cache": ["_exponential"]}
+
+
 def test_scipy_is_imported_only_inside_functions():
     # import heatlab loads no scipy: the sparse and Krylov routes import
     # it at first use, and dense LAPACK goes through numpy

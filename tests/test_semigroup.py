@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse import csr_array, issparse
 
 from heatlab import assemble, build_graph, semigroup
@@ -21,6 +22,7 @@ from heatlab.errors import (
     NonPositiveTime,
     NumericsError,
     SingularShift,
+    UnknownVertex,
     ValidationError,
 )
 from heatlab.operators import eigendecompose, shift_by_potential
@@ -199,6 +201,16 @@ def test_kernel_column_matches_full(rng):
     npt.assert_allclose(kernel_column(op, 0.5, 3), K.p[:, 3], atol=1e-12)
 
 
+def test_kernel_column_resolves_its_vertex(path3):
+    op = assemble(path3)
+    npt.assert_array_equal(kernel_column(op, 1.0, "1"),
+                           kernel_column(op, 1.0, 0))
+    for y, match in ((-1, "index -1 out of range"),
+                     (3, "index 3 out of range"), ("9", "unknown vertex id")):
+        with pytest.raises(UnknownVertex, match=match):
+            kernel_column(op, 1.0, y)
+
+
 def test_chapman_kolmogorov(rng, single_edge_op):
     assert chapman_kolmogorov_defect(single_edge_op, 0.5, 0.5) <= 1e-10
     op = assemble(random_graph(rng, n_max=30))
@@ -282,10 +294,19 @@ def _fully_squared(op, t, f):
     return (pade13_expm(-t * op.S)[0] @ (rs * f)) / rs
 
 
-@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
-def test_powered_apply_matches_full_squaring_and_spectral(t, stiff_star_op):
+def _refused(*args, **kwargs):
+    raise AssertionError("scaling-squaring apply took a sparse LU")
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0, 2.5, 10.5, 100.5])
+def test_powered_apply_matches_full_squaring_and_spectral(monkeypatch, t,
+                                                          stiff_star_op):
+    # F^j v is the one route: no sparse LU of the Padé denominator, also on
+    # the long path whose factors stay sparse
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", _refused)
     eps = np.finfo(float).eps
-    for op in (_seeded_path(), stiff_star_op):
+    ops = (_seeded_path(700),) if t % 1 else (_seeded_path(), stiff_star_op)
+    for op in ops:
         f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
         got = apply(op, t, f, SCALING_SQUARING)
         cond = 100 * eps * t * np.linalg.norm(op.S, 1)
@@ -298,7 +319,7 @@ def test_powered_apply_matches_full_squaring_and_spectral(t, stiff_star_op):
 
 def _csr_fully_squared(op, t, f):
     """As _fully_squared, with S handed to pade13_expm in CSR format, the
-    way the dense route of the scaling-squaring apply hands it."""
+    way the scaling-squaring apply hands it from n = 256 on."""
     rs = np.sqrt(op.m)
     return (pade13_expm(csr_array(op.S) * -t)[0] @ (rs * f)) / rs
 
@@ -332,8 +353,9 @@ def _counted_factors(monkeypatch):
 
 
 def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
-    cases = [(assemble(build_graph(1, [])), 10.0),
-             (assemble(build_graph(1, [], c=[2.0])), 10.0)]
+    # whole times power e^{-S} instead (test_whole_time_apply_*)
+    cases = [(assemble(build_graph(1, [])), 10.5),
+             (assemble(build_graph(1, [], c=[2.0])), 10.5)]
     op = assemble(random_graph(rng, n_max=20))
     t = 2.0 / np.linalg.norm(op.S, 1)
     assert pade13_expm(-t * op.S)[1] == 0
@@ -342,9 +364,7 @@ def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
         f = random_vector(rng, op.n)
         npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING),
                                _fully_squared(op, t, f))
-    # from n = 256 on S is handed over in CSR format; a short-diameter
-    # graph's factors fill, so the factors built for the vector route are
-    # finished as pade13_expm would finish them, without a second build
+    # from n = 256 on S is handed over in CSR format; s = 0, so k = 0
     op = assemble(random_graph(rng, n_max=400))
     while op.n < 256:
         op = assemble(random_graph(rng, n_max=400))
@@ -352,9 +372,10 @@ def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
     f = random_vector(rng, op.n)
     want = _csr_fully_squared(op, t, f)
     calls = _recorded_pade(monkeypatch)
-    builds = _counted_factors(monkeypatch)
     npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING), want)
-    assert calls == [] and len(builds) == 1
+    (M, (_, squarings)), = calls
+    assert issparse(M) and squarings == 0
+    npt.assert_array_equal(M.toarray(), (csr_array(op.S) * -t).toarray())
 
 
 def test_powered_apply_leaves_last_squarings_to_the_vector(
@@ -365,32 +386,18 @@ def test_powered_apply_leaves_last_squarings_to_the_vector(
         S = csr_array(op.S) if sparse else op.S
         calls = _recorded_pade(monkeypatch)
         builds = _counted_factors(monkeypatch)
-        apply(op, 100.0, np.ones(op.n), SCALING_SQUARING)
+        apply(op, 100.5, np.ones(op.n), SCALING_SQUARING)
         (M, (F, squarings)), = calls
         assert len(builds) == 1
-        full, s = pade13_expm(S * -100.0)
+        full, s = pade13_expm(S * -100.5)
         k = s - squarings
         assert k == min(s, int(np.log2(op.n)) - 1) > 0
         assert issparse(M) == sparse
-        npt.assert_array_equal(_dense(M), _dense(S * (-100.0 / 2.0 ** k)))
+        npt.assert_array_equal(_dense(M), _dense(S * (-100.5 / 2.0 ** k)))
         # F is the matrix the full route holds with k squarings to go
         for _ in range(k):
             F = F @ F
         npt.assert_array_equal(F, full)
-
-
-@pytest.mark.parametrize("t", [10.0, 100.0])
-def test_powered_apply_vector_route_forms_no_matrix(monkeypatch, t):
-    # the sparse factors of a long path take the LU route at the times
-    # where 2^s vector steps are cheap
-    op = _seeded_path(700)
-    f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
-    calls = _recorded_pade(monkeypatch)
-    got = apply(op, t, f, SCALING_SQUARING)
-    assert calls == []
-    ref = _csr_fully_squared(op, t, f)
-    cond = 100 * np.finfo(float).eps * t * np.linalg.norm(op.S, 1)
-    assert op.norm(got - ref) <= (1e-9 + cond) * op.norm(ref)
 
 
 def _held(op):
@@ -424,7 +431,7 @@ def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
         floor = semigroup._floor
         monkeypatch.setattr(semigroup, "_floor",
                             lambda F: floors.append(floor(F)))
-        times = (2.0, 10.0, 1000.0)
+        times = (2.0, 10.0, 100.0, 1000.0)
         got = {t: apply(op, t, f, SCALING_SQUARING) for t in times}
         assert calls == [] and builds == []
         # one floor per squaring, at most ceil(log2(j / 2^k)) squarings
@@ -437,6 +444,20 @@ def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
         npt.assert_array_equal(held, kept)
         for t, out in got.items():
             _assert_scaling_squaring_bound(op, t, f, out)
+
+
+@pytest.mark.parametrize("t", [2.0, 10.0, 1000.0])
+def test_whole_time_apply_is_independent_of_earlier_calls(rng, t,
+                                                          stiff_star_op):
+    # a fresh operator builds e^{-S} and powers it, as one that already
+    # held it from a call at t = 1 does
+    for op in (_seeded_path(700), stiff_star_op,
+               assemble(random_graph(rng, n_max=60))):
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        fresh = assemble(op.graph)
+        got = apply(fresh, t, f, SCALING_SQUARING)
+        npt.assert_array_equal(got, apply(_held(op), t, f, SCALING_SQUARING))
+        assert not semigroup._unit_time_cache[fresh].flags.writeable
 
 
 def test_whole_time_apply_takes_integer_times(monkeypatch, path3):
@@ -628,7 +649,7 @@ def test_sparse_pade_floor_keeps_overflow_visible():
     P, Q = semigroup._pade13_factors(S * (-t / 2.0 ** s))
     assert issparse(P) and issparse(Q)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(semigroup._solved(P, Q, s)))
+        assert not np.all(np.isfinite(pade13_expm(S * -t)[0]))
     for evaluate in (lambda: apply(op, t, np.ones(op.n), SCALING_SQUARING),
                      lambda: heat_kernel(op, t, SCALING_SQUARING)):
         with pytest.raises(NumericsError, match=re.escape(f"t = {t}")):
