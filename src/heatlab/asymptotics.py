@@ -37,6 +37,7 @@ from .errors import (
 )
 from .graphs import is_connected
 from .operators import (
+    SUPPORT_MASS_TOL,
     OperatorRep,
     SpectralAtoms,
     coefficients,
@@ -52,14 +53,13 @@ __all__ = [
     "GroundStateProfile",
     "rate_inner",
     "rate_kernel",
+    "kernel_factorization_defects",
     "groundstate_limit",
     "eigenvalue_detector",
     "strong_convergence_check",
     "positivity_improving",
 ]
 
-# relative mass below which an atom does not count as spectral support
-_SUPPORT_TOL = 1e-12
 # entrywise positivity threshold relative to the largest entry
 _POSITIVITY_TOL = 1e-13
 _FACTORIZATION_TOL = 1e-9
@@ -181,7 +181,7 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
     g = np.asarray(g, dtype=float)
     atoms = SpectralAtoms.pairing(sd, f, g)
     scale = op.norm(f) * op.norm(g)
-    return _rate_from_atoms(atoms, _SUPPORT_TOL * scale, grid,
+    return _rate_from_atoms(atoms, SUPPORT_MASS_TOL * scale, grid,
                             NonPositivePairing, "<f, e^{-tL} g>")
 
 
@@ -206,7 +206,7 @@ def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
     # both sides carry the same atoms (weight_rhs = e^{-2E} weight_lhs),
     # so one noise mask keeps the two sums comparable at every t
     scale = op.norm(ker.p[ix]) * op.norm(ker.p[iy])
-    keep = np.abs(rhs_atoms.weights) > _SUPPORT_TOL * scale
+    keep = np.abs(rhs_atoms.weights) > SUPPORT_MASS_TOL * scale
     if not keep.any():
         raise ZeroKernelEntry(
             f"p_t({x},{y}) vanishes identically; vertices are not connected"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -138,12 +137,6 @@ def _require_graph(args) -> WeightedGraph:
 
 def _grid(args) -> TimeGrid:
     return TimeGrid.geometric(args.t0, args.ratio, args.count)
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("HEATLAB_SEED", "0"))
 
 
 def parse_vector(spec: str, g: WeightedGraph, op: OperatorRep) -> np.ndarray:
@@ -274,7 +267,11 @@ def _load_potential(path: str | None, g: WeightedGraph) -> Potential:
 
 
 def _ks(args) -> list[float]:
-    return [float(k) for k in args.ks.split(",")]
+    ks = [float(k) for k in args.ks.split(",")]
+    if not all(k >= 0 for k in ks):
+        raise ValidationError(
+            f"--ks {args.ks!r}: every truncation level must be >= 0")
+    return ks
 
 
 def cmd_perturb(args) -> int:
@@ -312,7 +309,7 @@ def cmd_solve(args) -> int:
     op = assemble(g)
     V = _load_potential(args.potential, g)
     f = parse_vector(args.f, g, op)
-    sol = approximated_solution(op, V, f, _grid(args), _ks(args))
+    sol = approximated_solution(op, V, f, _grid(args), ())
     rows = ((t, g.vertices[x], sol.values[j, x])
             for j, t in enumerate(sol.times) for x in range(g.n))
     _write_csv(args.out / "solve.csv", ["t", "vertex", "u"], rows)
@@ -371,7 +368,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = run_suite(_seed(args))
+    suite = run_suite(args.seed)
     payload = suite.to_dict()
     payload.pop("elapsed", None)
     for section in payload["sections"]:
@@ -398,12 +395,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="heatlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
-        p.add_argument("--graph", help="input graph JSON")
+    def artifacts(p):
         p.add_argument("--out", type=Path, default=Path("."),
                        help="artifact directory (default: .)")
         p.add_argument("--schema", action="store_true",
                        help="print artifact schema and exit")
+
+    def common(p, grid=True):
+        p.add_argument("--graph", help="input graph JSON")
+        artifacts(p)
         if grid:
             p.add_argument("--t0", type=float, default=1.0)
             p.add_argument("--ratio", type=float, default=1.5)
@@ -437,9 +437,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(t0=0.25, count=10)
     p.add_argument("--potential", help="JSON {vertex id: V}")
     p.add_argument("--f", default="ones")
-    p.add_argument("--ks", default="1,2,4,8,16")
     p = sub.add_parser("counterexample")
-    common(p, grid=False)
+    artifacts(p)
     p.add_argument("--mu", type=float, default=0.25)
     p.add_argument("--lambda", dest="lam", type=float, default=0.75)
     p.add_argument("--lambda2", type=float, default=None)
@@ -451,9 +450,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--then", nargs=argparse.REMAINDER, default=None,
                    help="subcommand to run on the discretized graph")
     p = sub.add_parser("verify")
-    common(p, grid=False)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed (fallback: HEATLAB_SEED, then 0)")
+    artifacts(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed (default: 0)")
     return parser
 
 

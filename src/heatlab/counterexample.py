@@ -215,10 +215,9 @@ def counterexample_rate(model: ShiftModel, lam: float, x, grid
     return RateEstimate.from_logs(grid.times, logs, target=lam)
 
 
-def is_positivity_improving_shift(model: ShiftModel, t: float,
-                                  threshold: float = 0.0, *,
+def is_positivity_improving_shift(model: ShiftModel, t: float, *,
                                   shift_only: bool = False) -> bool:
-    """Whether e^{tM} has all entries above ``threshold``.
+    """Whether e^{tM} has all entries strictly positive.
 
     With the feedback column (``shift_only=False``) the matrix is
     irreducible and e^{t L1} is entrywise positive for every t > 0, but
@@ -245,4 +244,4 @@ def is_positivity_improving_shift(model: ShiftModel, t: float,
         raise InvariantViolation(
             f"positivity-preserving exponential has entry {F.min():.3e}"
         )
-    return bool(np.all(F > threshold))
+    return bool(np.all(F > 0))

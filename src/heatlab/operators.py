@@ -49,6 +49,7 @@ __all__ = [
 DENSE_LIMIT = 2000
 # eigenvalues within 1e-9 * (1 + |E|) of each other count as one atom
 GROUPING_TOL = 1e-9
+# relative mass below which an atom does not count as spectral support
 SUPPORT_MASS_TOL = 1e-12
 
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .graphs import WeightedGraph, is_connected
 from .operators import (
+    SUPPORT_MASS_TOL,
     OperatorRep,
     SpectralAtoms,
     assemble,
@@ -93,6 +94,15 @@ def _as_values(op: OperatorRep, V) -> np.ndarray:
     return values
 
 
+def _levels(ks) -> tuple[float, ...]:
+    """Truncation levels as floats in the order given, each >= 0 (or inf)."""
+    levels = tuple(float(k) for k in ks)
+    for k in levels:
+        if not k >= 0:
+            raise ValidationError(f"truncation level {k} is not a number >= 0")
+    return levels
+
+
 def lambda0(op: OperatorRep, V) -> float:
     """Variational ground energy inf spec(L - V).
 
@@ -125,6 +135,7 @@ def _ground_energy(full: OperatorRep) -> float:
 def truncated_semigroup(op: OperatorRep, V, k: float, t: float, f
                         ) -> np.ndarray:
     """e^{-t(L - V^k)} f with the truncated potential V^k = min(V, k)."""
+    (k,) = _levels((k,))
     values = _as_values(op, V)
     shifted = shift_by_potential(op, np.minimum(values, k))
     return sg_apply(shifted, t, f)
@@ -150,7 +161,7 @@ def truncation_ladder(op: OperatorRep, V, f, grid, ks) -> TruncationLadder:
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
-    ks = tuple(sorted(float(k) for k in ks))
+    ks = tuple(sorted(_levels(ks)))
     f_ks = np.array([np.minimum(f, k) for k in ks])
     trajectories = np.empty((len(ks), len(grid.times), op.n))
     for i, k in enumerate(ks):
@@ -194,7 +205,7 @@ def sv_limit(op: OperatorRep, V, t: float, f, ks) -> SvReport:
     """
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
-    ks = tuple(sorted(float(k) for k in ks))
+    ks = tuple(sorted(_levels(ks)))
     full = shift_by_potential(op, values)
     value = sg_apply(full, t, f)
     prev = None
@@ -285,6 +296,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     """
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
+    ks = _levels(ks)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if not (np.all(f > 0) and np.all(g > 0)):
@@ -305,7 +317,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     # (ii): the pairing grows like e^{-t inf supp}; the bound holds for
     # all t iff that bottom stays at or above E
     atoms = SpectralAtoms.pairing(eigendecompose(full), f, g)
-    support = atoms.supported(1e-12 * norms).energies
+    support = atoms.supported(SUPPORT_MASS_TOL * norms).energies
     if support.size == 0:
         raise EquivalenceViolation(
             "positive f, g lost all spectral mass under L - V"
@@ -351,8 +363,6 @@ class ApproximatedSolution:
     ladder: TruncationLadder
     ode_residuals: np.ndarray
     log_bound_margins: np.ndarray
-    continuity_times: np.ndarray
-    continuity_gaps: np.ndarray
     lambda0: float
 
 
@@ -396,16 +406,9 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         log_u = math.log(norm_u) if norm_u > 0 else -math.inf
         log_bound = (math.log(norm_f) if norm_f > 0 else -math.inf) - lam * t
         log_margins[j] = log_u - log_bound
-    taus = grid.times[0] * 0.5 ** np.arange(1, 9)
-    gaps = np.array([
-        op.norm(sg_apply(full, tau, f) - f)
-        for tau in taus
-    ])
     return ApproximatedSolution(times=grid.times, values=u, ladder=ladder,
                                 ode_residuals=residuals,
-                                log_bound_margins=log_margins,
-                                continuity_times=taus, continuity_gaps=gaps,
-                                lambda0=lam)
+                                log_bound_margins=log_margins, lambda0=lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,17 +427,6 @@ class ProbeReport:
     lambda0_limit: float
     truncation_energies: tuple[tuple[float, ...], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda0s": list(self.lambda0s),
-            "sizes": list(self.sizes),
-            "margin": self.margin,
-            "diverging": self.diverging,
-            "lambda0_limit": self.lambda0_limit,
-            "truncation_energies": [list(row)
-                                    for row in self.truncation_energies],
-        }
-
 
 def exhaustion_divergence_probe(stages, margin: float = 1.0,
                                 ks=()) -> ProbeReport:
@@ -452,6 +444,7 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
         Truncation levels; per stage the report then also carries
         E0(L - V^k), the upper bounds dominating lambda0.
     """
+    ks = _levels(ks)
     lams = []
     sizes = []
     bounds = []

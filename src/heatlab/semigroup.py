@@ -54,6 +54,9 @@ from .operators import OperatorRep, decay_factors, eigendecompose, kernel_sum
 
 __all__ = [
     "SemigroupMethod",
+    "SPECTRAL",
+    "SCALING_SQUARING",
+    "KRYLOV",
     "HeatKernel",
     "apply",
     "heat_kernel",
@@ -559,18 +562,14 @@ def chapman_kolmogorov_defect(op: OperatorRep, t: float, s: float,
     return float(np.max(np.abs(whole - composed)) / scale)
 
 
-def resolvent(op: OperatorRep, alpha: float, e0: float | None = None
-              ) -> np.ndarray:
+def resolvent(op: OperatorRep, alpha: float) -> np.ndarray:
     """Resolvent (L + alpha)^{-1} for alpha > -E0.
 
-    If ``e0`` is supplied the shift is validated against it directly;
-    either way a failed Cholesky factorization S + alpha = C C^T (i.e.
-    the shifted operator not being positive definite) raises
+    A failed Cholesky factorization S + alpha = C C^T (the shifted
+    operator is not positive definite, so alpha <= -E0) raises
     SingularShift.  (S + alpha)^{-1} is formed as C^{-T} C^{-1}, which
     comes out exactly symmetric.
     """
-    if e0 is not None and alpha <= -e0:
-        raise SingularShift(f"alpha = {alpha} <= -E0 = {-e0}")
     shifted = op.S + alpha * np.eye(op.n)
     try:
         C = np.linalg.cholesky(shifted)
@@ -589,7 +588,8 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
 
     Converges to e^{-t(L-V)} f at rate O(1/n); each factor preserves
     positivity, which is what several entrywise comparison checks lean
-    on.
+    on.  A potential of the wrong shape raises ValueError, one with a
+    non-finite entry ValidationError.
     """
     _check_finite(t)
     if t < 0:
@@ -597,6 +597,10 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     V = np.asarray(getattr(V, "values", V), dtype=float)
+    if V.shape != (op.n,):
+        raise ValueError(f"potential must have shape ({op.n},)")
+    if not np.all(np.isfinite(V)):
+        raise ValidationError("potential V is not finite")
     f = np.asarray(f, dtype=float)
     h = t / n
     sd = eigendecompose(op)

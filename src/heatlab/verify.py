@@ -131,12 +131,12 @@ def kernel_axioms_section(seed: int = 0, count: int = 100) -> SectionResult:
             yield OracleReport.compare(
                 f"symmetry defect #{i}", 0.0,
                 kernel_symmetry_defect(heat_kernel(op, 1.0)),
-                1e-10, seed, relative=False)
+                1e-10, seed)
             for t, s in ((0.5, 0.5), (0.3, 1.7)):
                 yield OracleReport.compare(
                     f"composition defect t={t} s={s} #{i}", 0.0,
                     chapman_kolmogorov_defect(op, t, s),
-                    1e-10, seed, relative=False)
+                    1e-10, seed)
 
     return _section("kernel-axioms", seed, maker)
 
@@ -162,14 +162,14 @@ def taylor_agreement_section(seed: int = 0, count: int = 100
                     f"apply n={op.n} t={t} #{i}", 0.0,
                     float(np.linalg.norm(got - expected))
                     / max(float(np.linalg.norm(expected)), 1e-300),
-                    1e-9, seed, relative=False)
+                    1e-9, seed)
                 kernel = heat_kernel(op, t).p
                 oracle_kernel = E.matrix / np.outer(rs, rs)
                 scale = float(np.max(np.abs(oracle_kernel)))
                 yield OracleReport.compare(
                     f"heat_kernel n={op.n} t={t} #{i}", 0.0,
                     float(np.max(np.abs(kernel - oracle_kernel))) / scale,
-                    1e-9, seed, relative=False)
+                    1e-9, seed)
                 Es = taylor_expm(shifted.S, t)
                 expected_s = (Es.matrix @ (rs * f)) / rs
                 got_s = apply(shifted, t, f)
@@ -177,7 +177,7 @@ def taylor_agreement_section(seed: int = 0, count: int = 100
                     f"truncated n={op.n} t={t} #{i}", 0.0,
                     float(np.linalg.norm(got_s - expected_s))
                     / max(float(np.linalg.norm(expected_s)), 1e-300),
-                    1e-9, seed, relative=False)
+                    1e-9, seed)
 
     return _section("taylor-agreement", seed, maker)
 
@@ -195,12 +195,10 @@ def rayleigh_section(seed: int = 0, count: int = 60) -> SectionResult:
             ray = rayleigh_min(op, samples=50,
                               seed=int(rng.integers(0, 2 ** 32)))
             yield OracleReport.compare(
-                f"rayleigh n={op.n} #{i}", e0, ray, 1e-6, seed,
-                relative=False)
+                f"rayleigh n={op.n} #{i}", e0, ray, 1e-6, seed)
             if ray < e0 - 1e-10 * (1.0 + abs(e0)):
                 yield OracleReport.compare(
-                    f"rayleigh-upper-bound #{i}", e0, ray, 0.0, seed,
-                    relative=False)
+                    f"rayleigh-upper-bound #{i}", e0, ray, 0.0, seed)
 
     return _section("rayleigh-descent", seed, maker)
 
@@ -219,8 +217,7 @@ def positivity_section(seed: int = 0, count: int = 200) -> SectionResult:
             verdict = positivity_improving(assemble(g))
             yield OracleReport.compare(
                 f"positivity vs connectivity #{i}",
-                float(is_connected(g)), float(verdict), 0.0, seed,
-                relative=False)
+                float(is_connected(g)), float(verdict), 0.0, seed)
 
     return _section("positivity-connectivity", seed, maker)
 
@@ -240,12 +237,12 @@ def cross_method_section(seed: int = 0) -> SectionResult:
                     dev = op.norm(apply(op, t, f, method) - ref)
                     yield OracleReport.compare(
                         f"{method.tag} vs spectral n={op.n} t={t}", 0.0,
-                        dev / scale, 1e-9, seed, relative=False)
+                        dev / scale, 1e-9, seed)
             yield OracleReport.compare(
                 f"composition cross-method n={op.n}", 0.0,
                 chapman_kolmogorov_defect(op, 0.7, 0.9, SPECTRAL,
                                           SCALING_SQUARING),
-                1e-9, seed, relative=False)
+                1e-9, seed)
 
     return _section("cross-method", seed, maker)
 
@@ -264,8 +261,7 @@ def contraction_section(seed: int = 0, count: int = 50) -> SectionResult:
                 shifted_norm = op.norm(np.exp(e0 * t) * apply(op, t, f))
                 yield OracleReport.compare(
                     f"contraction t={t} #{i}", 1.0,
-                    max(shifted_norm / norm_f, 1.0), 1e-12, seed,
-                    relative=False)
+                    max(shifted_norm / norm_f, 1.0), 1e-12, seed)
 
     return _section("contraction", seed, maker)
 

@@ -259,14 +259,15 @@ def test_metric_then_delegates(tmp_path, data_dir):
 
 
 def test_verify_artifact_and_seed_fallback(tmp_path, monkeypatch):
-    assert main(["verify", "--seed", "5",
+    # without --seed the seed is 0; the environment plays no part
+    assert main(["verify", "--seed", "0",
                  "--out", str(tmp_path / "flag")]) == 0
     monkeypatch.setenv("HEATLAB_SEED", "5")
-    assert main(["verify", "--out", str(tmp_path / "env")]) == 0
+    assert main(["verify", "--out", str(tmp_path / "default")]) == 0
     flag = (tmp_path / "flag" / "verify.json").read_bytes()
-    assert flag == (tmp_path / "env" / "verify.json").read_bytes()
+    assert flag == (tmp_path / "default" / "verify.json").read_bytes()
     d = json.loads(flag)
-    assert d["seed"] == 5 and d["passed"] is True
+    assert d["seed"] == 0 and d["passed"] is True
     assert "elapsed" not in d
     assert all("elapsed" not in s for s in d["sections"])
 
@@ -289,13 +290,34 @@ def test_bad_input_exits_1(tmp_path, data_dir, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--graph", "DATA/path3.json", "--method", "krylov"],
     ["groundstate", "--graph", "DATA/path3.json", "--seed", "3"],
+    ["verify", "--graph", "DATA/path3.json"],
+    ["counterexample", "--graph", "DATA/path3.json"],
+    ["solve", "--graph", "DATA/path3.json",
+     "--potential", "DATA/well_potential.json", "--ks", "1"],
 ])
 def test_flags_only_on_their_subcommand(tmp_path, data_dir, capsys, argv):
-    # --method belongs to kernel alone, --seed to verify alone
+    # --method belongs to kernel alone, --seed to verify alone, --ks to
+    # perturb alone; verify and counterexample read no graph
     argv = [a.replace("DATA", str(data_dir)) for a in argv]
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--ks", "1,nan"],
+    ["--ks=-1,2"],
+    ["--ks=-1,2", "--E", "-3"],
+])
+def test_perturb_rejects_bad_truncation_levels(tmp_path, data_dir, capsys,
+                                               extra):
+    argv = ["perturb", "--graph", str(data_dir / "path3.json"),
+            "--potential", str(data_dir / "well_potential.json"), *extra,
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "--ks" in err["message"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Structure of the package source itself."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,20 @@ def test_no_cross_module_private_imports():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_package_exports_are_listed_by_their_modules():
+    # every name heatlab exports is public in the module it comes from
+    init = Path(heatlab.__file__)
+    home = {alias.name: node.module
+            for node in ast.parse(init.read_text(), filename=str(init)).body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    unlisted = sorted(
+        f"{home[name]}.{name}" for name in heatlab.__all__
+        if name != "__version__"
+        and name not in importlib.import_module(f"heatlab.{home[name]}").__all__)
+    assert unlisted == []
 
 
 def test_every_public_definition_is_referenced():

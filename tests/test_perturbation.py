@@ -69,6 +69,35 @@ def test_truncation_ladder_monotone(rng):
         assert np.all(traj[a + 1] >= traj[a] - 1e-11)
 
 
+@pytest.mark.parametrize("level", [np.nan, -1.0, -np.inf])
+def test_truncation_levels_are_numbers_at_least_zero(path3, level):
+    op = assemble(path3)
+    V = np.array([2.0, 0.0, 0.5])
+    f = np.ones(op.n)
+    grid = TimeGrid.geometric(1.0, 1.5, 4)
+    calls = [
+        lambda: truncated_semigroup(op, V, level, 1.0, f),
+        lambda: truncation_ladder(op, V, f, grid, [1.0, level]),
+        lambda: sv_limit(op, V, 1.0, f, [1.0, level]),
+        lambda: admissibility_check(op, V, -3.0, f, f, grid, [1.0, level]),
+        lambda: exhaustion_divergence_probe([(path3, V)], 1.0, [level]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="truncation level"):
+            call()
+
+
+def test_truncation_ladder_accepts_an_infinite_level(path3):
+    op = assemble(path3)
+    V = np.array([2.0, 0.0, 0.5])
+    f = np.ones(op.n)
+    ladder = truncation_ladder(op, V, f, TimeGrid.geometric(1.0, 1.5, 4),
+                               [np.inf, 1, 0.0])
+    assert ladder.ks == (0.0, 1.0, np.inf)
+    npt.assert_array_equal(truncated_semigroup(op, V, np.inf, 1.0, f),
+                           apply(shift_by_potential(op, V), 1.0, f))
+
+
 def test_truncated_semigroup_saturates_at_max(rng):
     op = assemble(random_graph(rng, n_max=12))
     V = np.round(2.0 * random_vector(rng, op.n, positive=True), 1)

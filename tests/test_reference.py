@@ -79,5 +79,8 @@ def test_oracle_report_pass_logic():
     assert ok.passed and ok.rel_dev <= 1e-9
     bad = OracleReport.compare("q", 1.0, 1.1, 1e-9, seed=0)
     assert not bad.passed
+    # the rule is absolute: rel_dev is 1 here, abs_dev within tolerance
+    near_zero = OracleReport.compare("z", 0.0, 5e-10, 1e-9, seed=0)
+    assert near_zero.passed and near_zero.rel_dev == 1.0
     d = ok.to_dict()
     assert {"name", "oracle", "production", "tolerance", "passed"} <= set(d)

@@ -754,9 +754,19 @@ def test_resolvent_identity(rng):
 
 def test_resolvent_singular_shift(single_edge_op):
     with pytest.raises(SingularShift):
-        resolvent(single_edge_op, 0.0, e0=0.0)
+        resolvent(single_edge_op, 0.0)
     with pytest.raises(SingularShift):
-        resolvent(single_edge_op, -0.5, e0=0.0)
+        resolvent(single_edge_op, -0.5)
+
+
+def test_trotter_rejects_bad_potential(path3):
+    op = assemble(path3)
+    f = np.ones(op.n)
+    for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValidationError, match="potential"):
+            trotter(op, bad, 1.0, 4, f)
+    with pytest.raises(ValueError, match=r"potential must have shape \(3,\)"):
+        trotter(op, np.zeros(2), 1.0, 4, f)
 
 
 def test_trotter_zero_potential(rng):
