@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -267,11 +268,14 @@ def _load_potential(path: str | None, g: WeightedGraph) -> Potential:
 
 
 def _ks(args) -> list[float]:
-    ks = [float(k) for k in args.ks.split(",")]
-    if not all(k >= 0 for k in ks):
-        raise ValidationError(
-            f"--ks {args.ks!r}: every truncation level must be >= 0")
-    return ks
+    try:
+        ks = [float(k) for k in args.ks.split(",")]
+        if all(k >= 0 for k in ks):
+            return ks
+    except ValueError:
+        pass
+    raise ValidationError(
+        f"--ks {args.ks!r}: every truncation level must be a number >= 0")
 
 
 def cmd_perturb(args) -> int:
@@ -280,15 +284,15 @@ def cmd_perturb(args) -> int:
     V = _load_potential(args.potential, g)
     grid = _grid(args)
     f = parse_vector(args.f, g, op)
+    ks = _ks(args)
     lam = lambda0(op, V)
     verdict = None
     if args.E is not None:
-        verdict = admissibility_check(op, V, args.E, f, f, grid,
-                                      _ks(args)).to_dict()
+        verdict = admissibility_check(op, V, args.E, f, f, grid, ks).to_dict()
     # ladder norms from spectral atoms: ||e^{-tH} f_k||^2 = <f_k, e^{-2tH} f_k>,
     # evaluated in the log domain so arbitrarily large grid times stay finite
     rows = []
-    for k in _ks(args):
+    for k in ks:
         shifted = shift_by_potential(op, np.minimum(V.values, k))
         f_k = np.minimum(np.maximum(f, 0.0), k)
         atoms = SpectralAtoms.pairing(eigendecompose(shifted), f_k, f_k)
@@ -325,6 +329,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if not 3 <= args.t_max < np.inf:
+        raise ValidationError(
+            f"--t-max {args.t_max!r}: must be a finite number >= 3")
     model = shift_model(args.mu, args.N)
     lams = [args.lam] + ([args.lambda2] if args.lambda2 is not None else [])
     grid = TimeGrid(np.linspace(1.0, args.t_max, int(args.t_max)))
@@ -387,6 +394,11 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1,2 or -1e3 is a value, not a flag: it reaches its flag's check
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ValidationError(message)
 

@@ -4,15 +4,15 @@ The graph operator acts by
 
     (L f)(x) = (1/m(x)) ( sum_y b(x,y) (f(x) - f(y)) + c(x) f(x) ),
 
-so with K = diag(deg + c) - B (B the weight matrix, deg its row sums) the
-matrix representation is A = D_m^{-1} K.  A is selfadjoint on l^2(X, m) and
-unitarily equivalent to the symmetric matrix
+so with K = diag(deg + c) - B (B the weight matrix, deg its row sums) L
+acts as D_m^{-1} K, selfadjoint on l^2(X, m) and unitarily equivalent to
 
     S = D_m^{-1/2} K D_m^{-1/2},
 
-which is what every numerical path works with.  Eigenvectors returned here
-are m-orthonormal eigenvectors of A; for a connected graph the ground one
-is strictly positive.
+the one matrix an operator stores and every numerical path works with.
+Eigenvectors returned here are m-orthonormal eigenvectors of L; for a
+connected graph the ground one is strictly positive.  Eigendata are kept
+on the operator and die with it.
 
 Dense eigendecomposition is limited to n <= 2000; larger operators must go
 through the iterative semigroup paths.
@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EigensolverFailure, InvariantViolation, ZeroVector
+from .errors import (EigensolverFailure, InvariantViolation, ValidationError,
+                     ZeroVector)
 from .graphs import WeightedGraph
 
 __all__ = [
@@ -57,17 +58,21 @@ SUPPORT_MASS_TOL = 1e-12
 class OperatorRep:
     """Matrix realization of the graph operator.
 
-    ``A`` acts on functions, ``S`` is its symmetrization; ``lower_bound``
-    is a certified constant with L >= lower_bound (0 whenever c >= 0,
-    a Gershgorin bound for potential-shifted operators).
+    ``S`` is the symmetrization D_m^{1/2} L D_m^{-1/2} and ``m`` the
+    vertex measure; ``lower_bound`` is a certified constant with
+    L >= lower_bound (0 whenever c >= 0, a Gershgorin bound for
+    potential-shifted operators).
     """
 
-    n: int
-    A: np.ndarray
     S: np.ndarray
     m: np.ndarray
     lower_bound: float
     graph: WeightedGraph | None = None
+
+    @property
+    def n(self) -> int:
+        """Number of vertices, the order of S."""
+        return self.S.shape[0]
 
     def inner(self, u, v) -> float:
         """m-weighted inner product <u, v>_m."""
@@ -81,6 +86,28 @@ class OperatorRep:
         """||S||_1, the largest absolute column sum of S; computed once."""
         return float(np.linalg.norm(self.S, 1))
 
+    @cached_property
+    def _eigendata(self) -> SpectralData:
+        # read through eigendecompose, which documents it
+        if self.n > DENSE_LIMIT:
+            raise ValueError(
+                f"n = {self.n} exceeds the dense eigensolver limit "
+                f"{DENSE_LIMIT}; use the iterative semigroup paths instead"
+            )
+        try:
+            w, U = np.linalg.eigh(self.S)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+            raise EigensolverFailure(str(exc)) from exc
+        phi = U / np.sqrt(self.m)[:, None]
+        # sign convention: first coordinate of nonnegligible size made positive
+        mag = np.abs(phi)
+        sizable = mag > 1e-12 * np.max(mag, axis=0)
+        lead = phi[np.argmax(sizable, axis=0), np.arange(phi.shape[1])]
+        flip = sizable.any(axis=0) & (lead < 0)
+        phi[:, flip] = -phi[:, flip]
+        return SpectralData(eigenvalues=w, vectors=phi, m=self.m,
+                            E0=float(w[0]), groups=_group_eigenvalues(w))
+
 
 def _gershgorin_lower(S: np.ndarray) -> float:
     radii = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
@@ -88,7 +115,7 @@ def _gershgorin_lower(S: np.ndarray) -> float:
 
 
 def assemble(g: WeightedGraph) -> OperatorRep:
-    """Assemble A and S for a validated graph.
+    """Assemble S for a validated graph.
 
     The row sums frozen at validation are reused; a mismatch with the
     recomputed ones would mean the graph was mutated and raises.
@@ -100,10 +127,9 @@ def assemble(g: WeightedGraph) -> OperatorRep:
     for i, j, w in g.edges:
         K[i, j] = -w
         K[j, i] = -w
-    A = K / g.m[:, None]
     rs = np.sqrt(g.m)
     S = K / np.outer(rs, rs)
-    return OperatorRep(n=g.n, A=A, S=S, m=g.m.copy(), lower_bound=0.0, graph=g)
+    return OperatorRep(S=S, m=g.m.copy(), lower_bound=0.0, graph=g)
 
 
 # shifted operators of the most recently shifted base operator, by the
@@ -125,12 +151,14 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     operator comes back, so :func:`eigendecompose` decomposes each
     L - V once across calls.  They are released when another base
     operator is shifted or ``op`` dies, so the memory held is at most
-    one base operator's levels (their A and S, and the eigendata
-    cached for them).
+    one base operator's levels (their S, and the eigendata kept on them).
+    A potential with an inf or nan entry raises ValidationError.
     """
     V = np.asarray(getattr(V, "values", V), dtype=float)
     if V.shape != (op.n,):
         raise ValueError(f"potential must have shape ({op.n},)")
+    if not np.all(np.isfinite(V)):
+        raise ValidationError("potential V is not finite")
     if not V.any():
         return op
     if op not in _shift_cache:
@@ -139,12 +167,9 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     key = V.tobytes()
     shifted = shifts.get(key)
     if shifted is None:
-        A = op.A - np.diag(V)
         S = op.S - np.diag(V)
-        A.setflags(write=False)
         S.setflags(write=False)
-        shifted = OperatorRep(n=op.n, A=A, S=S, m=op.m,
-                              lower_bound=_gershgorin_lower(S),
+        shifted = OperatorRep(S=S, m=op.m, lower_bound=_gershgorin_lower(S),
                               graph=op.graph)
         shifts[key] = shifted
     return shifted
@@ -216,19 +241,13 @@ def _group_eigenvalues(w: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds[:-1], bounds[1:]))
 
 
-_spectral_cache: "weakref.WeakKeyDictionary[OperatorRep, SpectralData]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def eigendecompose(op: OperatorRep) -> SpectralData:
     """Dense eigendecomposition of S, mapped back to m-orthonormal vectors.
 
-    Results are cached per operator (operators are immutable) and die
-    with it.  :func:`shift_by_potential` keeps the shifts of the latest
-    base operator, so each of its L - V is decomposed once; besides the
-    operators callers keep alive, the cache holds the eigendata of at
-    most that one base operator's levels.
+    The result is kept on the operator (operators are immutable): a
+    second call returns the same object, and it dies with the operator.
+    :func:`shift_by_potential` keeps the shifts of the latest base
+    operator, so each of its L - V is decomposed once.
 
     Raises
     ------
@@ -237,29 +256,7 @@ def eigendecompose(op: OperatorRep) -> SpectralData:
     EigensolverFailure
         If the LAPACK solver does not converge.
     """
-    cached = _spectral_cache.get(op)
-    if cached is not None:
-        return cached
-    if op.n > DENSE_LIMIT:
-        raise ValueError(
-            f"n = {op.n} exceeds the dense eigensolver limit {DENSE_LIMIT}; "
-            "use the iterative semigroup paths instead"
-        )
-    try:
-        w, U = np.linalg.eigh(op.S)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise EigensolverFailure(str(exc)) from exc
-    phi = U / np.sqrt(op.m)[:, None]
-    # sign convention: first coordinate of nonnegligible size made positive
-    mag = np.abs(phi)
-    sizable = mag > 1e-12 * np.max(mag, axis=0)
-    lead = phi[np.argmax(sizable, axis=0), np.arange(phi.shape[1])]
-    flip = sizable.any(axis=0) & (lead < 0)
-    phi[:, flip] = -phi[:, flip]
-    sd = SpectralData(eigenvalues=w, vectors=phi, m=op.m, E0=float(w[0]),
-                      groups=_group_eigenvalues(w))
-    _spectral_cache[op] = sd
-    return sd
+    return op._eigendata
 
 
 def coefficients(sd: SpectralData, f) -> np.ndarray:

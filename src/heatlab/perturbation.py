@@ -18,7 +18,7 @@ V ^ k = min(V, k):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -267,15 +267,7 @@ class AdmissibilityVerdict:
         return self.holds_iii
 
     def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "lambda0": self.lambda0,
-            "M": self.M,
-            "holds_i": self.holds_i,
-            "holds_ii": self.holds_ii,
-            "holds_iii": self.holds_iii,
-            "admissible": self.admissible,
-        }
+        return {**asdict(self), "admissible": self.admissible}
 
 
 def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
@@ -389,13 +381,14 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
     # central differences with a step tuned to the curvature scale
     rho = max(full.s_norm1, 1.0)
     delta = (3.0 * np.finfo(float).eps) ** (1.0 / 3.0) / rho
+    rs = np.sqrt(op.m)
     residuals = np.empty(max(len(grid.times) - 2, 0))
     for j in range(1, len(grid.times) - 1):
         t = grid.times[j]
         forward = sg_apply(full, t + delta, f)
         backward = sg_apply(full, t - delta, f)
         du = (forward - backward) / (2.0 * delta)
-        res = du + full.A @ u[j]
+        res = du + (full.S @ (rs * u[j])) / rs
         scale = op.norm(u[j])
         residuals[j - 1] = op.norm(res) / max(scale, 1e-300)
 

@@ -16,7 +16,7 @@ the seed is recorded in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,13 +191,4 @@ class OracleReport:
                    seed=int(seed))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "oracle": self.oracle,
-            "production": self.production,
-            "abs_dev": self.abs_dev,
-            "rel_dev": self.rel_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
+        return asdict(self)

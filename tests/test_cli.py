@@ -309,6 +309,9 @@ def test_flags_only_on_their_subcommand(tmp_path, data_dir, capsys, argv):
     ["--ks", "1,nan"],
     ["--ks=-1,2"],
     ["--ks=-1,2", "--E", "-3"],
+    ["--ks", "-1,2"],
+    ["--ks", "1,abc"],
+    ["--ks", "1,,2"],
 ])
 def test_perturb_rejects_bad_truncation_levels(tmp_path, data_dir, capsys,
                                                extra):
@@ -318,6 +321,18 @@ def test_perturb_rejects_bad_truncation_levels(tmp_path, data_dir, capsys,
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "--ks" in err["message"]
+    # the message quotes the bad value, so the level check raised it
+    value = extra[1] if extra[0] == "--ks" else extra[0].split("=", 1)[1]
+    assert repr(value) in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-1", "2"])
+def test_counterexample_rejects_bad_t_max(tmp_path, capsys, t_max):
+    assert main(["counterexample", "--t-max", t_max,
+                 "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "--t-max" in err["message"]
     assert list(tmp_path.iterdir()) == []
 
 

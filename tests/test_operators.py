@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -8,7 +9,7 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from heatlab import assemble, build_graph, dirichlet_energy, operators
-from heatlab.errors import ZeroVector
+from heatlab.errors import ValidationError, ZeroVector
 from heatlab.operators import (
     GROUPING_TOL,
     OperatorRep,
@@ -23,16 +24,54 @@ from heatlab.operators import (
 from heatlab.verify import random_graph, random_vector
 
 
+def _matrix_of(op):
+    """L as a matrix on functions, D_m^{-1/2} S D_m^{1/2}."""
+    rs = np.sqrt(op.m)
+    return op.S * rs[None, :] / rs[:, None]
+
+
 def test_assemble_single_edge(single_edge_op):
-    npt.assert_allclose(single_edge_op.A, [[1.0, -1.0], [-1.0, 1.0]])
-    npt.assert_allclose(single_edge_op.S, single_edge_op.A)
+    A = _matrix_of(single_edge_op)
+    npt.assert_allclose(A, [[1.0, -1.0], [-1.0, 1.0]])
+    npt.assert_allclose(single_edge_op.S, A)
     assert single_edge_op.lower_bound == 0.0
+
+
+def test_operator_holds_S_m_lower_bound_and_graph(rng):
+    g = random_graph(rng, n_max=12, c_scale=1.0)
+    op = assemble(g)
+    shifted = shift_by_potential(op, rng.uniform(0.5, 2.0, g.n))
+    assert [f.name for f in dataclasses.fields(OperatorRep)] == [
+        "S", "m", "lower_bound", "graph"]
+    for rep in (op, shifted):
+        assert rep.n == rep.S.shape[0] == g.n
+        # S is the one n x n array an operator holds
+        assert [k for k, v in vars(rep).items()
+                if isinstance(v, np.ndarray) and v.ndim == 2] == ["S"]
+
+
+def test_eigendata_die_with_their_operator(rng):
+    op = assemble(random_graph(rng, n_max=12))
+    sd = weakref.ref(eigendecompose(op))
+    held = weakref.ref(op)
+    del op
+    gc.collect()
+    assert held() is None
+    assert sd() is None
+
+
+def test_shifted_operator_keeps_its_eigendata(rng):
+    # the memoized shift comes back with the eigendata it already holds
+    op = assemble(random_graph(rng, n_max=12))
+    V = rng.uniform(0.0, 2.0, size=op.n)
+    sd = eigendecompose(shift_by_potential(op, V))
+    assert eigendecompose(shift_by_potential(op, V.copy())) is sd
 
 
 def test_assemble_pure_potential():
     g = build_graph(["1", "2", "3"], [], m=[1.0, 2.0, 4.0], c=[3.0, 0.0, 2.0])
     op = assemble(g)
-    npt.assert_allclose(op.A, np.diag([3.0, 0.0, 0.5]))
+    npt.assert_allclose(_matrix_of(op), np.diag([3.0, 0.0, 0.5]))
     sd = eigendecompose(op)
     npt.assert_allclose(sd.eigenvalues, [0.0, 0.5, 3.0], atol=1e-14)
 
@@ -43,14 +82,15 @@ def test_doubling_measure_halves_operator(rng):
                      [(g.vertices[i], g.vertices[j], w) for i, j, w in g.edges],
                      m=2.0 * g.m, c=g.c)
     op, op2 = assemble(g), assemble(g2)
-    npt.assert_allclose(op2.A, 0.5 * op.A, rtol=1e-13, atol=1e-13)
+    npt.assert_allclose(_matrix_of(op2), 0.5 * _matrix_of(op),
+                        rtol=1e-13, atol=1e-13)
     npt.assert_allclose(eigendecompose(op2).eigenvalues,
                         0.5 * eigendecompose(op).eigenvalues,
                         rtol=1e-10, atol=1e-12)
 
 
 def test_form_identity_random(rng):
-    # <Au, v>_m recovers the quadratic form, both on the basis and on
+    # <Lu, v>_m recovers the quadratic form, both on the basis and on
     # random vectors
     for _ in range(20):
         g = random_graph(rng, n_max=30, c_scale=1.0)
@@ -58,7 +98,8 @@ def test_form_identity_random(rng):
         u = rng.standard_normal(g.n)
         v = rng.standard_normal(g.n)
         q = dirichlet_energy(g, u, v)
-        assert abs(op.inner(op.A @ u, v) - q) <= 1e-10 * (1 + abs(q))
+        Lu = _matrix_of(op) @ u
+        assert abs(op.inner(Lu, v) - q) <= 1e-10 * (1 + abs(q))
 
 
 def test_s_symmetric_and_bounded_below(rng):
@@ -147,15 +188,14 @@ def test_eigenvector_signs_match_loop_reference(rng):
         S = X + X.T
         m = rng.uniform(0.5, 2.0, n)
         # eigendecompose reads only S and m
-        ops.append(OperatorRep(n=n, A=S, S=S, m=m, lower_bound=-np.inf))
+        ops.append(OperatorRep(S=S, m=m, lower_bound=-np.inf))
     # nearly decoupled blocks: leading entries below the 1e-12 cut
     n = 30
     S = scipy.linalg.block_diag(*(X + X.T for X in
                                   rng.standard_normal((2, n, n))))
     C = rng.standard_normal((2 * n, 2 * n))
     S += 1e-15 * (C + C.T)
-    ops.append(OperatorRep(n=2 * n, A=S, S=S, m=np.ones(2 * n),
-                           lower_bound=-np.inf))
+    ops.append(OperatorRep(S=S, m=np.ones(2 * n), lower_bound=-np.inf))
     # eigenvectors of one component vanish on the other: leading zeros
     ops += [assemble(_disjoint_union(random_graph(rng, n_max=10),
                                      random_graph(rng, n_max=10)))
@@ -170,12 +210,13 @@ def test_eigenvector_signs_match_loop_reference(rng):
 def test_variational_characterization(rng, single_edge_op):
     op = assemble(random_graph(rng, n_max=20, c_scale=1.0))
     sd = eigendecompose(op)
+    A = _matrix_of(op)
     for _ in range(1000):
         u = rng.standard_normal(op.n)
         u /= op.norm(u)
-        assert op.inner(op.A @ u, u) >= sd.E0 - 1e-12
+        assert op.inner(A @ u, u) >= sd.E0 - 1e-12
     ground = sd.vectors[:, 0]
-    assert op.inner(op.A @ ground, ground) == pytest.approx(sd.E0, abs=1e-10)
+    assert op.inner(A @ ground, ground) == pytest.approx(sd.E0, abs=1e-10)
 
 
 def test_eigendecompose_cached(single_edge_op):
@@ -230,8 +271,15 @@ def test_coefficients_reconstruct(rng):
 
 def test_shift_by_potential_lowers_diagonal(single_edge_op):
     shifted = shift_by_potential(single_edge_op, np.array([3.0, 0.0]))
-    npt.assert_allclose(shifted.A, [[-2.0, -1.0], [-1.0, 1.0]])
+    npt.assert_allclose(_matrix_of(shifted), [[-2.0, -1.0], [-1.0, 1.0]])
     assert shifted.lower_bound <= eigendecompose(shifted).E0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shift_by_potential_rejects_a_non_finite_potential(single_edge_op,
+                                                           bad):
+    with pytest.raises(ValidationError, match="not finite"):
+        shift_by_potential(single_edge_op, np.array([1.0, bad]))
 
 
 def test_shift_by_potential_memoizes_read_only_operators(single_edge_op):
@@ -244,10 +292,9 @@ def test_shift_by_potential_memoizes_read_only_operators(single_edge_op):
     other = shift_by_potential(op, np.array([3.0, 1e-300]))
     assert other is not shifted
     assert shift_by_potential(op, np.array([3.0, 1e-300])) is other
-    for M in (shifted.A, shifted.S):
-        assert not M.flags.writeable
-        with pytest.raises(ValueError):
-            M[0, 0] = 1.0
+    assert not shifted.S.flags.writeable
+    with pytest.raises(ValueError):
+        shifted.S[0, 0] = 1.0
     npt.assert_array_equal(shifted.S, [[-2.0, -1.0], [-1.0, 1.0]])
 
 
@@ -278,8 +325,7 @@ def test_dense_solver_size_cutoff():
 
     n = DENSE_LIMIT + 1
     d = np.ones(n)
-    op = OperatorRep(n=n, A=np.diag(d), S=np.diag(d), m=np.ones(n),
-                     lower_bound=0.0, graph=None)
+    op = OperatorRep(S=np.diag(d), m=np.ones(n), lower_bound=0.0, graph=None)
     with pytest.raises(ValueError):
         eigendecompose(op)
 

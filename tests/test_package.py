@@ -9,16 +9,55 @@ from pathlib import Path
 import heatlab
 
 
+def _is_package_import(node) -> bool:
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").split(".")[0] == "heatlab")
+
+
 def test_no_cross_module_private_imports():
     # a private helper used by another module belongs in a public home
     offenders = []
     for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if _is_package_import(node):
                 offenders += [f"{path.name}:{node.lineno} {alias.name}"
                               for alias in node.names
                               if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def _private_module_reads(tree, modules) -> list[str]:
+    """``module._name`` reads in ``tree`` of a package module."""
+    bound = set()
+    for node in ast.walk(tree):
+        if _is_package_import(node):
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in modules}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "heatlab"}
+    dotted = bound | {f"heatlab.{name}" for name in modules}
+    return [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and ast.unparse(node.value) in dotted]
+
+
+def test_no_reads_of_another_modules_private_names():
+    # reading operators._name from another module reaches past its
+    # public surface just as importing it does
+    package = Path(heatlab.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    probe = ast.parse("from . import operators\n"
+                      "import heatlab.semigroup as sg\n"
+                      "operators._shift_cache, sg._exponential, sg.apply\n")
+    assert _private_module_reads(probe, modules) == [
+        "3 operators._shift_cache", "3 sg._exponential"]
+    offenders = [f"{path.name}:{hit}"
+                 for path in sorted(package.glob("*.py"))
+                 for hit in _private_module_reads(
+                     ast.parse(path.read_text(), filename=str(path)), modules)]
     assert offenders == []
 
 
@@ -73,7 +112,7 @@ def test_module_caches_are_weak_keyed():
             for target in targets:
                 if isinstance(target, ast.Name) and target.id.endswith("_cache"):
                     caches[f"{path.stem}.{target.id}"] = ast.unparse(value)
-    assert {"operators._spectral_cache", "operators._shift_cache",
+    assert {"operators._shift_cache",
             "semigroup._unit_time_cache"} <= caches.keys()
     assert {name: value for name, value in caches.items()
             if value != "weakref.WeakKeyDictionary()"} == {}
@@ -98,8 +137,7 @@ def test_each_module_cache_has_one_home():
                 fn.name for fn in functions
                 if any(isinstance(node, ast.Name) and node.id == cache
                        for node in ast.walk(fn))]
-    assert homes == {"operators._spectral_cache": ["eigendecompose"],
-                     "operators._shift_cache": ["shift_by_potential"],
+    assert homes == {"operators._shift_cache": ["shift_by_potential"],
                      "semigroup._unit_time_cache": ["_exponential"]}
 
 

@@ -742,13 +742,17 @@ def test_resolvent_neumann_regime(rng):
     alpha = 1e6
     R = resolvent(op, alpha)
     dev = np.linalg.norm(R - np.eye(op.n) / alpha, 2)
-    assert dev <= 10 * np.linalg.norm(op.A, 2) / alpha ** 2 + 1e-15
+    rs = np.sqrt(op.m)
+    A = op.S * rs[None, :] / rs[:, None]
+    assert dev <= 10 * np.linalg.norm(A, 2) / alpha ** 2 + 1e-15
 
 
 def test_resolvent_identity(rng):
     op = assemble(random_graph(rng, n_max=20, c_scale=1.0))
     R = resolvent(op, 0.7)
-    npt.assert_allclose(R @ (op.A + 0.7 * np.eye(op.n)), np.eye(op.n),
+    rs = np.sqrt(op.m)
+    A = op.S * rs[None, :] / rs[:, None]
+    npt.assert_allclose(R @ (A + 0.7 * np.eye(op.n)), np.eye(op.n),
                         atol=1e-9)
 
 
