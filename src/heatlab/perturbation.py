@@ -284,8 +284,11 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     EquivalenceViolation since on a finite graph they are provably
     equivalent.  The truncated pairings along ``ks`` are additionally
     required to obey the (ii) bound at the grid times whenever the
-    verdict is positive, and ``M`` records their worst log-margin.
+    verdict is positive, and ``M`` records their worst log-margin.  A
+    non-finite E raises ValidationError before any work.
     """
+    if not math.isfinite(E):
+        raise ValidationError(f"energy bound E = {E} is not finite")
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
     ks = _levels(ks)

@@ -23,8 +23,8 @@ Three interchangeable evaluators are provided and must agree within
 ``krylov``
     Shift-and-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
     Comput. 27, 2006): one pass of at most 60 steps on solves with
-    I + (t/10)(S - lower_bound), factored once, until steps k and k - 2
-    agree to 1e-13 of the answer.
+    I + (t/10)(S - lower_bound), factored once by sparse LU at every
+    order, until steps k and k - 2 agree to 1e-13 of the answer.
 
 All of them go through the symmetrization S; kernels come out symmetric
 up to rounding and are never symmetrized by hand.  :func:`apply` and
@@ -35,7 +35,6 @@ evaluation prints no RuntimeWarning.
 """
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -102,10 +101,10 @@ _SQUARING_FLOOR = math.sqrt(np.finfo(float).tiny)
 # 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit
 # (_check_resolution)
 _ROUNDING = 100 * np.finfo(float).eps
-# below this order S reaches the Padé evaluation dense: the ~30
-# scipy.sparse calls of a sparse evaluation cost 0.6-2.5 ms whatever the
-# size, and a dense evaluation on a weighted path breaks even with the
-# sparse one near n = 192 with one BLAS thread, later with two
+# below this order _exponential hands S to the Padé build dense: the ~30
+# scipy.sparse calls of a sparse build cost 0.6-2.5 ms whatever the size,
+# and a dense build on a weighted path breaks even with the sparse one
+# near n = 192 with one BLAS thread, later with two
 _SPARSE_MIN_N = 256
 # step cap and tolerance of the shift-and-invert Lanczos pass; the
 # benchmark graphs took <= 35 steps, random graphs (n <= 300) <= 40
@@ -260,17 +259,6 @@ def _squarings(op: OperatorRep, t: float):
     return s
 
 
-def _scaling(op: OperatorRep, t: float):
-    """(s, S): the squaring count of e^{-tS} (checked by
-    :func:`_squarings`), and S in the format its Padé factors are built in,
-    CSR from order ``_SPARSE_MIN_N`` on."""
-    s = _squarings(op, t)
-    if op.n < _SPARSE_MIN_N:
-        return s, op.S
-    from scipy.sparse import csr_array
-    return s, csr_array(op.S)
-
-
 def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
     """x, checked to hold no overflow of the evaluation at time t."""
     if not np.all(np.isfinite(x)):
@@ -283,14 +271,19 @@ def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
 def _exponential(op: OperatorRep, t: float) -> np.ndarray:
     """e^{-tS} by :func:`pade13_expm`; read-only and kept per operator at t = 1.
 
-    Only t = 1 recurs inside the library (whole-time :func:`apply`, kernel
+    The one place S reaches the Padé build, in CSR from order
+    ``_SPARSE_MIN_N`` on, after :func:`_squarings` has checked t.  Only
+    t = 1 recurs in the library (whole-time :func:`apply`, kernel
     functions, the factorization identity, positivity), so one n x n
-    matrix per live operator is stored; every other time is computed
-    afresh.
+    matrix per live operator is stored; other times are computed afresh.
     """
     E = _unit_time_cache.get(op) if t == 1.0 else None
     if E is None:
-        _, S = _scaling(op, t)
+        _squarings(op, t)
+        S = op.S
+        if op.n >= _SPARSE_MIN_N:
+            from scipy.sparse import csr_array
+            S = csr_array(S)
         E, _ = pade13_expm(S * -t)
         if t == 1.0:
             E.setflags(write=False)
@@ -309,14 +302,14 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     """e^{-tS} v = F^j v, with (F, j) chosen from t alone.
 
     At a whole time, F = e^{-S}, built and kept by :func:`_exponential`,
-    and j = t.  At any other time, F is the Padé approximant that
-    ``pade13_expm(-tS)`` holds with k = min(s, :func:`_vector_squarings`)
-    of its s squarings still to do, and j = 2^k; scaling S by -t / 2^k is
-    exact, so F is bit-for-bit that intermediate matrix.  While j exceeds
-    the budget of 2^K matrix-vector products, K = :func:`_vector_squarings`,
-    j is halved, the bit it drops goes to the vector, and a copy of F is
-    squared, its entries below ``_SQUARING_FLOOR`` max|F| set to 0 first;
-    the remaining j factors go to the vector.  Leaving the K-th squaring to
+    and j = t.  At any other time, F = ``_exponential(op, t / 2^k)`` with
+    k = min(s, :func:`_vector_squarings`) and j = 2^k: dividing t by 2^k is
+    exact, so F is bit-for-bit the matrix that ``pade13_expm(-tS)`` holds
+    with k of its s squarings still to do.  While j exceeds the budget of
+    2^K matrix-vector products, K = :func:`_vector_squarings`, j is halved,
+    the bit it drops goes to the vector, and a copy of F is squared, its
+    entries below ``_SQUARING_FLOOR`` max|F| set to 0 first; the remaining
+    j factors go to the vector.  Leaving the K-th squaring to
     the vector saves 2n^3 flops and costs 2^(K-1) more matrix-vector
     products of 2n^2 flops each; those are memory-bound and run at a few
     times lower flop rate, so they count four-fold, and the trade pays
@@ -324,12 +317,11 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     naming t and s, before any work.
     """
     if t % 1 == 0:
-        _squarings(op, t)  # checks t; powers of e^{-S} need no CSR form of S
+        _squarings(op, t)  # checks t, which the held e^{-S} does not
         F, j = _exponential(op, 1.0), int(t)
     else:
-        s, S = _scaling(op, t)
-        k = min(s, _vector_squarings(op.n))
-        F, j = pade13_expm(S * (-t / 2.0 ** k))[0], 2 ** k
+        k = min(_squarings(op, t), _vector_squarings(op.n))
+        F, j = _exponential(op, t / 2 ** k), 2 ** k
     while j > 2 ** _vector_squarings(op.n):
         if j & 1:
             v = F @ v
@@ -346,7 +338,8 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
 def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     """e^{-tS} v by one shift-and-invert Lanczos pass: full
     reorthogonalization (twice) on solves with I + gamma (S - sigma I),
-    gamma = t / 10, factored once.  sigma = ``op.lower_bound`` is certified,
+    gamma = t / 10, factored once by sparse LU (SuperLU, on the CSC form of
+    that matrix) at every order.  sigma = ``op.lower_bound`` is certified,
     so that matrix has eigenvalues >= 1.  A Ritz value theta maps to the
     energy sigma + (1/theta - 1)/gamma.  Steps k and k - 2 are compared
     scaled by e^{tE}, E the lowest energy of step k, so an answer that
@@ -359,16 +352,12 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     gamma, sigma = t / 10, op.lower_bound
     M = gamma * op.S
     M[np.diag_indices(n)] += 1 - gamma * sigma
-    # the Krylov route, like the sparse one, pays the scipy import at
-    # first use
+    # the Krylov route, like the sparse Padé build, pays the scipy import
+    # at first use
     import scipy.linalg
-    if n < _SPARSE_MIN_N:
-        solve = functools.partial(scipy.linalg.cho_solve,
-                                  scipy.linalg.cho_factor(M))
-    else:
-        from scipy.sparse import csc_array
-        from scipy.sparse.linalg import splu
-        solve = splu(csc_array(M)).solve
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+    solve = splu(csc_array(M)).solve
     dim = min(_KRYLOV_DIM, n)
     V = np.empty((n, dim + 1))
     alpha, beta = np.empty(dim), np.empty(dim)
@@ -445,7 +434,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
-    if method.tag != "scaling-squaring":  # _scaling checks, naming s
+    if method.tag != "scaling-squaring":  # _squarings checks, naming s
         _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
     rs = np.sqrt(op.m)
     v = rs * f
@@ -505,7 +494,7 @@ def heat_kernel(op: OperatorRep, t: float,
     if t <= 0:
         raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
     method = method or SPECTRAL
-    if method.tag != "scaling-squaring":  # _scaling checks, naming s
+    if method.tag != "scaling-squaring":  # _squarings checks, naming s
         _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         if method.tag == "spectral":

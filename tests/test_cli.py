@@ -278,6 +278,10 @@ def test_verify_artifact_and_seed_fallback(tmp_path, monkeypatch):
     ["kernel", "--graph", "DATA/path3.json", "--t", "-1"],
     ["frobnicate"],
     ["rate", "--graph", "DATA/path3.json", "--t0", "-2"],
+    ["rate", "--graph", "DATA/path3.json", "--f", "random:-1"],
+    ["rate", "--graph", "DATA/path3.json", "--f", "random:abc"],
+    ["perturb", "--graph", "DATA/path3.json",
+     "--potential", "DATA/well_potential.json", "--E", "nan"],
 ])
 def test_bad_input_exits_1(tmp_path, data_dir, capsys, argv):
     argv = [a.replace("DATA", str(data_dir)) for a in argv]
@@ -285,6 +289,9 @@ def test_bad_input_exits_1(tmp_path, data_dir, capsys, argv):
                 if argv[0] != "frobnicate" else argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 1
+    if {"--f", "--E"} & set(argv):  # a bad value is named
+        assert err["error"] == "ValidationError"
+        assert argv[-1] in err["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,7 +334,7 @@ def test_perturb_rejects_bad_truncation_levels(tmp_path, data_dir, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("t_max", ["nan", "inf", "-1", "2"])
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-1", "2", "1e300", "2e5"])
 def test_counterexample_rejects_bad_t_max(tmp_path, capsys, t_max):
     assert main(["counterexample", "--t-max", t_max,
                  "--out", str(tmp_path)]) == 1

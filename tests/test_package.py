@@ -141,6 +141,31 @@ def test_each_module_cache_has_one_home():
                      "semigroup._unit_time_cache": ["_exponential"]}
 
 
+def test_sparse_cut_off_has_one_reader():
+    # the dense/sparse switch of S is the Padé build's alone: the Krylov
+    # route factors by sparse LU at every order, so _SPARSE_MIN_N is read
+    # only where S is handed to pade13_expm
+    cut_off = "_SPARSE_MIN_N"
+
+    def reads(node):
+        return sum(1 for child in ast.walk(node)
+                   if (isinstance(child, ast.Name) and child.id == cut_off
+                       and isinstance(child.ctx, ast.Load))
+                   or (isinstance(child, ast.Attribute)
+                       and child.attr == cut_off))
+
+    readers, total, names = [], 0, set()
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        total += reads(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{path.stem}.{fn.name}")
+                readers += [f"{path.stem}.{fn.name}"] * reads(fn)
+    assert readers == ["semigroup._exponential"] and total == 1
+    assert "semigroup._scaling" not in names
+
+
 def test_scipy_is_imported_only_inside_functions():
     # import heatlab loads no scipy: the sparse and Krylov routes import
     # it at first use, and dense LAPACK goes through numpy

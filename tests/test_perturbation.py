@@ -193,6 +193,16 @@ def test_admissibility_requires_positive_probes(single_edge_op):
                             np.array([1.0, 1.0]), grid, ks=[0.0, 3.0])
 
 
+@pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+def test_admissibility_rejects_a_non_finite_bound(single_edge_op, E,
+                                                  decompositions):
+    f = np.array([1.0, 0.5])
+    with pytest.raises(ValidationError, match=r"\bE = "):
+        admissibility_check(single_edge_op, np.array([3.0, 0.0]), E, f, f,
+                            TimeGrid.geometric(count=4), ks=[0.0, 3.0])
+    assert decompositions == []
+
+
 def test_admissibility_random_triples(rng):
     for _ in range(10):
         op = assemble(random_graph(rng, n_max=10, c_scale=0.5))

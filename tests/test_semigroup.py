@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse import csr_array, issparse
 
@@ -119,14 +120,35 @@ def _assert_krylov_matches_spectral(op, t, f):
     assert op.norm(apply(op, t, f, KRYLOV) - ref) <= bound
 
 
+def _refused_cholesky(*args, **kwargs):
+    raise AssertionError("the Krylov route took a dense Cholesky")
+
+
 @pytest.mark.parametrize("t", [1.0, 10.0])
-def test_krylov_on_the_stiff_star(t, stiff_star_op, fine_star_op):
-    # ||S|| ~ 1e4: e^{-tL} f decays to ~1e-11 of f by t = 10, and the
-    # answer is held to a bound relative to itself; the fine star (n ~ 300)
-    # factors its shifted matrix by sparse LU, the coarse one by Cholesky
-    for op in (stiff_star_op, fine_star_op):
+def test_krylov_on_the_stiff_star(monkeypatch, t, single_edge_op,
+                                  stiff_star_op, fine_star_op):
+    # ||S|| ~ 1e4 on the stars: e^{-tL} f decays to ~1e-11 of f by t = 10,
+    # and the answer is held to a bound relative to itself.  Every order,
+    # from 2 to 300, factors its shifted matrix once, by sparse LU
+    monkeypatch.setattr(scipy.linalg, "cho_factor", _refused_cholesky)
+    factorizations = []
+    splu = scipy.sparse.linalg.splu
+
+    def counted(M):
+        factorizations.append(M.shape)
+        return splu(M)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    ops = [single_edge_op,
+           assemble(random_graph(np.random.default_rng(0), n_max=255)),
+           stiff_star_op, fine_star_op,
+           assemble(random_graph(np.random.default_rng(593), n_max=300))]
+    assert [op.n for op in ops] == [2, 218, 118, 298, 300]
+    for calls, op in enumerate(ops, 1):
         f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
         _assert_krylov_matches_spectral(op, t, f)
+        assert len(factorizations) == calls
+        assert factorizations[-1] == (op.n, op.n)
 
 
 def test_krylov_on_a_long_path_at_large_time():
@@ -645,7 +667,7 @@ def test_sparse_pade_floor_keeps_overflow_visible():
     # overflow away
     op = shift_by_potential(_seeded_path(), np.full(300, 3.0))
     t = 400.0
-    s, S = semigroup._scaling(op, t)
+    s, S = semigroup._squarings(op, t), csr_array(op.S)
     P, Q = semigroup._pade13_factors(S * (-t / 2.0 ** s))
     assert issparse(P) and issparse(Q)
     with np.errstate(over="ignore", invalid="ignore"):
