@@ -60,7 +60,6 @@ from .asymptotics import (
     GroundStateProfile,
     RateEstimate,
     TimeGrid,
-    eigenvalue_detector,
     groundstate_limit,
     kernel_factorization_defects,
     positivity_improving,
@@ -117,8 +116,7 @@ __all__ = [
     "OracleReport", "TaylorExpm", "taylor_expm", "rayleigh_min",
     "TimeGrid", "RateEstimate", "GroundStateProfile", "rate_inner",
     "rate_kernel", "kernel_factorization_defects", "groundstate_limit",
-    "eigenvalue_detector", "strong_convergence_check",
-    "positivity_improving",
+    "strong_convergence_check", "positivity_improving",
     "Potential", "TruncationLadder", "SvReport", "AdmissibilityVerdict",
     "ApproximatedSolution", "ProbeReport", "lambda0", "truncated_semigroup",
     "truncation_ladder", "sv_limit", "admissibility_check",

@@ -55,7 +55,6 @@ __all__ = [
     "rate_kernel",
     "kernel_factorization_defects",
     "groundstate_limit",
-    "eigenvalue_detector",
     "strong_convergence_check",
     "positivity_improving",
 ]
@@ -63,8 +62,7 @@ __all__ = [
 # entrywise positivity threshold relative to the largest entry
 _POSITIVITY_TOL = 1e-13
 _FACTORIZATION_TOL = 1e-9
-# Phi_t above this detects E0 as an eigenvalue (groundstate_limit and
-# eigenvalue_detector's default)
+# max Phi above this detects E0 as an eigenvalue (groundstate_limit)
 _DETECTION_THRESHOLD = 1e-6
 
 
@@ -321,23 +319,6 @@ def groundstate_limit(op: OperatorRep, grid) -> GroundStateProfile:
                               Phi_t_history=history,
                               residual_history=residuals,
                               is_eigenvalue_detected=detected)
-
-
-def eigenvalue_detector(op: OperatorRep, x, grid,
-                        threshold: float = _DETECTION_THRESHOLD) -> bool:
-    """Whether Phi_t(x) = (e^{t E0} p_t(x,x))^{1/2} stays above threshold.
-
-    A positive limit detects that E0 is an eigenvalue whose ground state
-    does not vanish at x; under exhaustion (spectrum bottom not an
-    eigenvalue) the profile would drain to zero instead.
-    """
-    grid = TimeGrid.of(grid)
-    sd = eigendecompose(op)
-    ix = op.graph.vertex_index(x)
-    t = grid.times[-1]
-    decay = decay_factors(sd.eigenvalues, t, sd.E0)
-    phi_t = np.sqrt(np.sum(sd.vectors[ix, :] ** 2 * decay))
-    return bool(phi_t > threshold)
 
 
 def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:

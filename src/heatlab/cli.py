@@ -384,8 +384,6 @@ def cmd_verify(args) -> int:
     suite = run_suite(args.seed)
     payload = suite.to_dict()
     payload.pop("elapsed", None)
-    for section in payload["sections"]:
-        section.pop("elapsed", None)
     _write_json(args.out / "verify.json", payload)
     for section in suite.sections:
         print(f"verify[{section.name}]: "

@@ -284,12 +284,17 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     EquivalenceViolation since on a finite graph they are provably
     equivalent.  The truncated pairings along ``ks`` are additionally
     required to obey the (ii) bound at the grid times whenever the
-    verdict is positive, and ``M`` records their worst log-margin.  A
-    non-finite E raises ValidationError before any work.
+    verdict is positive, and ``M`` records their worst log-margin.  An E
+    with E t not finite at some grid time (E itself not finite, or so
+    large that E t overflows) raises ValidationError before any work.
     """
-    if not math.isfinite(E):
-        raise ValidationError(f"energy bound E = {E} is not finite")
     grid = TimeGrid.of(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unbounded = ~np.isfinite(E * grid.times)
+    if unbounded.any():
+        raise ValidationError(
+            f"energy bound E = {E}: E t is not finite at grid time t = "
+            f"{grid.times[unbounded][0]}")
     values = _as_values(op, V)
     ks = _levels(ks)
     f = np.asarray(f, dtype=float)

@@ -4,7 +4,8 @@ Three interchangeable evaluators are provided and must agree within
 1e-9 * ||f||_m on moderate problems (n <= 200):
 
 ``spectral``
-    Dense eigendecomposition of S; the reference path and the default.
+    sum_i e^{-t E_i} <phi_i, f>_m phi_i on the m-orthonormal eigenvectors
+    that :func:`~heatlab.operators.eigendecompose` keeps; the default.
 ``scaling-squaring``
     13th-order diagonal rational approximant of the matrix exponential,
     input scaled so the scaled 1-norm is below 5.37, then repeatedly
@@ -26,12 +27,14 @@ Three interchangeable evaluators are provided and must agree within
     I + (t/10)(S - lower_bound), factored once by sparse LU at every
     order, until steps k and k - 2 agree to 1e-13 of the answer.
 
-All of them go through the symmetrization S; kernels come out symmetric
-up to rounding and are never symmetrized by hand.  :func:`apply` and
-:func:`heat_kernel` raise NumericsError, naming t, for every method once
-100 eps t ||S||_1 >= 1, where rounding S alone leaves the result without
-a correct digit, and when the result overflows; overflow inside an
-evaluation prints no RuntimeWarning.
+The spectral route and :func:`trotter` expand in the stored phi_i; only
+the matrix routes work on the symmetrization S, scaling f by sqrt(m) on
+the way in and out.  Kernels come out symmetric up to rounding and are
+never symmetrized by hand.  :func:`apply` and :func:`heat_kernel` raise
+NumericsError, naming t, for every method once 100 eps t ||S||_1 >= 1,
+where rounding S alone leaves the result without a correct digit, and
+when the result overflows; overflow inside an evaluation prints no
+RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -49,7 +52,8 @@ from .errors import (
     SingularShift,
     ValidationError,
 )
-from .operators import OperatorRep, decay_factors, eigendecompose, kernel_sum
+from .operators import (OperatorRep, coefficients, decay_factors,
+                        eigendecompose, kernel_sum)
 
 __all__ = [
     "SemigroupMethod",
@@ -436,20 +440,18 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     method = method or SPECTRAL
     if method.tag != "scaling-squaring":  # _squarings checks, naming s
         _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
-    rs = np.sqrt(op.m)
-    v = rs * f
     # an overflow is reported once, by _finite, not as RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):
         if method.tag == "spectral":
             sd = eigendecompose(op)
-            U = sd.vectors * rs[:, None]
-            ev = U @ (decay_factors(sd.eigenvalues, t) * (U.T @ v))
-        elif method.tag == "scaling-squaring":
-            ev = _powered_apply(op, t, v)
+            u = sd.vectors @ (decay_factors(sd.eigenvalues, t)
+                              * coefficients(sd, f))
         else:
-            ev = _krylov_apply(op, t, v)
-        ev = ev / rs
-    return _finite(ev, t, method)
+            rs = np.sqrt(op.m)
+            route = (_powered_apply if method.tag == "scaling-squaring"
+                     else _krylov_apply)
+            u = route(op, t, rs * f) / rs
+    return _finite(u, t, method)
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,7 +579,8 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
 
     Converges to e^{-t(L-V)} f at rate O(1/n); each factor preserves
     positivity, which is what several entrywise comparison checks lean
-    on.  A potential of the wrong shape raises ValueError, one with a
+    on.  Each step expands in the stored m-orthonormal eigenbasis.  A
+    potential of the wrong shape raises ValueError, one with a
     non-finite entry ValidationError.
     """
     _check_finite(t)
@@ -593,12 +596,9 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     h = t / n
     sd = eigendecompose(op)
-    rs = np.sqrt(op.m)
-    U = sd.vectors * rs[:, None]
     decay = decay_factors(sd.eigenvalues, h)
     boost = np.exp(h * V)
     cur = f
     for _ in range(n):
-        v = rs * (boost * cur)
-        cur = (U @ (decay * (U.T @ v))) / rs
+        cur = sd.vectors @ (decay * coefficients(sd, boost * cur))
     return cur

@@ -5,7 +5,6 @@ import pytest
 from heatlab import assemble, build_graph, restrict
 from heatlab.asymptotics import (
     TimeGrid,
-    eigenvalue_detector,
     groundstate_limit,
     kernel_factorization_defects,
     positivity_improving,
@@ -173,23 +172,24 @@ def test_groundstate_profile_residuals_decay(path3_killed):
 
 def test_eigenvalue_detector_finite_graphs(single_edge_op, k4):
     grid = TimeGrid.geometric(count=12)
-    assert eigenvalue_detector(single_edge_op, "1", grid)
-    assert eigenvalue_detector(assemble(k4), "c", grid)
+    for op, x in ((single_edge_op, "1"), (assemble(k4), "c")):
+        prof = groundstate_limit(op, grid)
+        assert prof.is_eigenvalue_detected
+        assert prof.Phi[op.graph.vertex_index(x)] > 1e-6
 
 
 def test_eigenvalue_detector_exhaustion_drains():
-    # Dirichlet truncations of the half-line: the detector stays on at
-    # every finite stage while the profile value at the origin sinks
+    # Dirichlet truncations of the half-line: E0 is detected at every
+    # finite stage while the profile value at the origin sinks
     grid = TimeGrid.geometric(t0=1.0, ratio=1.6, count=14)
     values = []
     for n in (50, 100, 200):
         verts = [str(j) for j in range(n + 1)]
         edges = [(str(j), str(j + 1), 1.0) for j in range(n)]
         g = restrict(build_graph(verts, edges), verts[:-1])
-        op = assemble(g)
-        assert eigenvalue_detector(op, "0", grid)
-        sd = eigendecompose(op)
-        values.append(sd.vectors[0, 0])
+        prof = groundstate_limit(assemble(g), grid)
+        assert prof.is_eigenvalue_detected
+        values.append(prof.Phi[g.vertex_index("0")])
     assert values[0] > values[1] > values[2] > 0
 
 
@@ -230,13 +230,6 @@ def test_spectral_sums_match_full_rank_reference(rng, stiff_star_op):
                         atol=tol * np.max(history))
     npt.assert_allclose(prof.residual_history, residuals, rtol=0,
                         atol=tol * kernel_scale)
-
-    for x in ("o", "e0:1", "e2:49"):
-        phi_t = history[-1][op.graph.vertex_index(x)]
-        margin = tol * np.max(history)
-        assert eigenvalue_detector(op, x, grid, threshold=phi_t - margin)
-        assert not eigenvalue_detector(op, x, grid,
-                                       threshold=phi_t + margin)
 
     f = rng.uniform(0.1, 1.0, op.n)
     exc = coefficients(sd, f)[sd.groups[0][1]:]

@@ -282,6 +282,8 @@ def test_verify_artifact_and_seed_fallback(tmp_path, monkeypatch):
     ["rate", "--graph", "DATA/path3.json", "--f", "random:abc"],
     ["perturb", "--graph", "DATA/path3.json",
      "--potential", "DATA/well_potential.json", "--E", "nan"],
+    ["perturb", "--graph", "DATA/path3.json",
+     "--potential", "DATA/well_potential.json", "--E", "1e+308"],
 ])
 def test_bad_input_exits_1(tmp_path, data_dir, capsys, argv):
     argv = [a.replace("DATA", str(data_dir)) for a in argv]

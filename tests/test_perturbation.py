@@ -193,7 +193,7 @@ def test_admissibility_requires_positive_probes(single_edge_op):
                             np.array([1.0, 1.0]), grid, ks=[0.0, 3.0])
 
 
-@pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf, 1e308, -1e308])
 def test_admissibility_rejects_a_non_finite_bound(single_edge_op, E,
                                                   decompositions):
     f = np.array([1.0, 0.5])

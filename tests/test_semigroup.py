@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from heatlab.errors import (
     UnknownVertex,
     ValidationError,
 )
-from heatlab.operators import eigendecompose, shift_by_potential
+from heatlab.operators import eigendecompose, kernel_sum, shift_by_potential
 from heatlab.semigroup import (
     KRYLOV,
     SCALING_SQUARING,
@@ -104,6 +105,42 @@ def test_methods_agree(rng):
         for method in (SCALING_SQUARING, KRYLOV):
             dev = np.linalg.norm(apply(op, 1.3, f, method) - ref)
             assert dev <= 1e-9 * op.norm(f)
+
+
+def test_spectral_apply_is_the_kernel_sum(rng, stiff_star_op):
+    # e^{-tL} f = sum_i e^{-t E_i} <phi_i, f>_m phi_i on the stored phi_i,
+    # also where E0 < 0 makes e^{-t E0} > 1
+    shifted = _shifted_graph_op(rng)
+    assert shifted.lower_bound < 0
+    assert np.exp(-eigendecompose(shifted).E0) > 1
+    for op in (stiff_star_op, shifted):
+        sd = eigendecompose(op)
+        for t in (0.01, 0.1, 1.0, 10.0):
+            for f in (random_vector(rng, op.n),
+                      random_vector(rng, op.n, positive=True)):
+                want = kernel_sum(sd, t) @ (op.m * f)
+                got = apply(op, t, f, SPECTRAL)
+                assert op.norm(got - want) <= 1e-13 * op.norm(want)
+
+
+def test_spectral_routes_hold_no_second_basis():
+    # with the eigendata and ||S||_1 held, a spectral apply and a Trotter
+    # product work on vectors: each peaks below n^2 bytes, an eighth of
+    # one n x n copy
+    op = assemble(random_graph(np.random.default_rng(593), n_max=300))
+    assert op.n >= 300
+    eigendecompose(op), op.s_norm1
+    rng = np.random.default_rng(3)
+    f, V = random_vector(rng, op.n), rng.uniform(0.0, 2.0, op.n)
+    for call in (lambda: apply(op, 1.0, f, SPECTRAL),
+                 lambda: trotter(op, V, 1.0, 4, f)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < op.n ** 2
 
 
 @pytest.mark.parametrize("method", METHODS, ids=TAGS)

@@ -70,10 +70,7 @@ def test_positivity_section_alternates_connectivity():
 def test_sections_deterministic_for_fixed_seed():
     a = rayleigh_section(seed=7, count=5)
     b = rayleigh_section(seed=7, count=5)
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("elapsed")
-    db.pop("elapsed")
-    assert da == db
+    assert a.to_dict() == b.to_dict()
 
 
 @pytest.fixture(scope="module")
