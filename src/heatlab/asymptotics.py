@@ -23,6 +23,7 @@ of the kernel products altogether.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +146,9 @@ class RateEstimate:
 
 
 def _rate_from_atoms(atoms: SpectralAtoms, threshold: float, grid: TimeGrid,
-                     error: type[Exception], quantity: str, cause: str = ""
-                     ) -> RateEstimate:
-    """Rate estimators for the sum over the atoms above ``threshold``."""
+                     error: type[Exception], quantity: str, cause: str = "",
+                     log_scale: float = 0.0) -> RateEstimate:
+    """Rate estimators for log_scale + log of the atoms above threshold."""
     # atoms of sub-resolution mass are projection noise, not support;
     # carried along they would hijack the estimate once t is large
     # enough for their energy to win
@@ -158,7 +159,8 @@ def _rate_from_atoms(atoms: SpectralAtoms, threshold: float, grid: TimeGrid,
     if np.any(signs <= 0):
         t_bad = grid.times[np.flatnonzero(signs <= 0)[0]]
         raise error(f"{quantity} <= 0 at t = {t_bad}")
-    return RateEstimate.from_logs(grid.times, logs, np.min(atoms.energies))
+    return RateEstimate.from_logs(grid.times, logs + log_scale,
+                                  np.min(atoms.energies))
 
 
 def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
@@ -166,21 +168,24 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
 
     The target is the smallest eigenvalue carrying joint spectral mass
     of f and g; for f = g that is the bottom of supp rho_f, and for
-    positive f, g on a connected graph it is E0.
+    positive f, g on a connected graph it is E0.  It pairs f/||f||_m with
+    g/||g||_m and adds log ||f||_m ||g||_m back, so no scale is lost.
 
     Raises
     ------
     NonPositivePairing
-        If q(t) fails to be strictly positive at some grid time.
+        If q(t) fails to be strictly positive at some grid time, or f or
+        g is zero.
     """
     grid = TimeGrid.of(grid)
-    sd = eigendecompose(op)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    atoms = SpectralAtoms.pairing(sd, f, g)
-    scale = op.norm(f) * op.norm(g)
-    return _rate_from_atoms(atoms, SUPPORT_MASS_TOL * scale, grid,
-                            NonPositivePairing, "<f, e^{-tL} g>")
+    norms = op.norm(f), op.norm(g)
+    if 0.0 in norms:
+        raise NonPositivePairing("<f, e^{-tL} g> vanishes identically")
+    atoms = SpectralAtoms.pairing(eigendecompose(op), np.divide(f, norms[0]),
+                                  np.divide(g, norms[1]))
+    return _rate_from_atoms(atoms, SUPPORT_MASS_TOL, grid,
+                            NonPositivePairing, "<f, e^{-tL} g>",
+                            log_scale=math.log(norms[0]) + math.log(norms[1]))
 
 
 def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
@@ -326,12 +331,12 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
 
     They are bounded by ||f||_m e^{-(E' - E0) t} with E' the bottom of
     the spectral support of (I - P) f, which is what the calling tests
-    assert.
+    assert.  They are summed for f/||f||_m and scaled back.
     """
     grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
-    f = np.asarray(f, dtype=float)
-    coeff = coefficients(sd, f)
+    norm = op.norm(f)
+    coeff = coefficients(sd, np.divide(f, norm or 1.0))
     _, stop = sd.groups[0]
     exc_coeff = coeff[stop:]
     exc_energies = sd.eigenvalues[stop:]
@@ -339,7 +344,7 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
     for j, t in enumerate(grid.times):
         decay = decay_factors(exc_energies, 2.0 * t, sd.E0)
         residuals[j] = np.sqrt(np.sum(exc_coeff ** 2 * decay))
-    return residuals
+    return norm * residuals
 
 
 def positivity_improving(op: OperatorRep) -> bool:

@@ -28,7 +28,6 @@ from .graphs import (
     WeightedGraph,
     components,
     dump_graph,
-    graph_to_dict,
     load_graph,
 )
 from .operators import (

@@ -19,6 +19,7 @@ through the iterative semigroup paths.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,7 +80,8 @@ class OperatorRep:
         return float(np.sum(np.conj(u) * v * self.m))
 
     def norm(self, u) -> float:
-        return float(np.sqrt(np.sum(np.abs(u) ** 2 * self.m)))
+        """||u||_m, finite and nonzero whenever its value is in range."""
+        return _m_norm(u, self.m)
 
     @cached_property
     def s_norm1(self) -> float:
@@ -107,6 +109,11 @@ class OperatorRep:
         phi[:, flip] = -phi[:, flip]
         return SpectralData(eigenvalues=w, vectors=phi, m=self.m,
                             E0=float(w[0]), groups=_group_eigenvalues(w))
+
+
+def _m_norm(u, m) -> float:
+    # the one m-norm; math.hypot scales, so no square over- or underflows
+    return math.hypot(*(np.sqrt(m) * np.abs(u)).tolist())
 
 
 def _gershgorin_lower(S: np.ndarray) -> float:
@@ -343,8 +350,9 @@ class SpectralMeasure:
     """Finite atomic measure rho_f with <f, e^{-tL} f> = sum_i w_i e^{-t E_i}.
 
     ``atoms`` are (E_i, w_i) pairs over eigenvalue groups, w_i >= 0 summing
-    to ||f||_m^2; ``inf_support`` ignores atoms of relative mass below
-    1e-12.
+    to ``total_mass`` = ||f||_m^2 (inf where that square overflows);
+    ``inf_support`` ignores atoms of relative mass below 1e-12, so it does
+    not depend on the scale of f.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -358,15 +366,17 @@ def spectral_measure(sd: SpectralData, f) -> SpectralMeasure:
     Raises
     ------
     ZeroVector
-        If f vanishes identically.
+        If f has no nonzero entry.
     """
     f = np.asarray(f, dtype=float)
-    total = float(np.sum(f * f * sd.m))
-    if total == 0.0:
+    if not f.any():
         raise ZeroVector("the zero vector has no spectral measure")
-    atoms = SpectralAtoms.grouped(sd, coefficients(sd, f) ** 2)
-    supported = atoms.supported(SUPPORT_MASS_TOL * total).energies
+    norm = _m_norm(f, sd.m)
+    unit = SpectralAtoms.grouped(sd, coefficients(sd, f / norm) ** 2)
+    supported = unit.supported(SUPPORT_MASS_TOL).energies
     inf_support = np.min(supported) if supported.size else np.inf
+    with np.errstate(over="ignore"):  # inf masses for f beyond ~1e154
+        atoms = SpectralAtoms.grouped(sd, coefficients(sd, f) ** 2)
     return SpectralMeasure(
         atoms=tuple(zip(atoms.energies.tolist(), atoms.weights.tolist())),
-        total_mass=total, inf_support=float(inf_support))
+        total_mass=norm * norm, inf_support=float(inf_support))

@@ -151,25 +151,20 @@ class TruncationLadder:
     """
 
     ks: tuple[float, ...]
-    times: np.ndarray
-    f: np.ndarray
-    f_ks: np.ndarray
     trajectories: np.ndarray
 
 
 def truncation_ladder(op: OperatorRep, V, f, grid, ks) -> TruncationLadder:
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
-    f = np.asarray(f, dtype=float)
     ks = tuple(sorted(_levels(ks)))
-    f_ks = np.array([np.minimum(f, k) for k in ks])
     trajectories = np.empty((len(ks), len(grid.times), op.n))
     for i, k in enumerate(ks):
         shifted = shift_by_potential(op, np.minimum(values, k))
+        f_k = np.minimum(np.asarray(f, dtype=float), k)
         for j, t in enumerate(grid.times):
-            trajectories[i, j] = sg_apply(shifted, t, f_ks[i])
-    return TruncationLadder(ks=ks, times=grid.times, f=f, f_ks=f_ks,
-                            trajectories=trajectories)
+            trajectories[i, j] = sg_apply(shifted, t, f_k)
+    return TruncationLadder(ks=ks, trajectories=trajectories)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +178,9 @@ class SvReport:
     """
 
     value: np.ndarray
-    t: float
-    ks: tuple[float, ...]
     ladder_gaps: np.ndarray
     k_converged: float | None
     semigroup_law_residual: float
-    continuity_times: np.ndarray
     continuity_gaps: np.ndarray
 
 
@@ -200,8 +192,8 @@ def sv_limit(op: OperatorRep, V, t: float, f, ks) -> SvReport:
     residual ||S_V(0.3 t) S_V(0.7 t) f - S_V(t) f||_m and the small-time
     continuity gaps ||S_V(tau) f - f||_m along tau = t 2^{-j}.  The
     continuity gaps are also checked against the closed inequality
-    ||S_V(tau) f - e^{-tau L} f||^2 <= ||S_V(tau) f||^2 - ||e^{-tau L} f||^2,
-    which is what makes them collapse as tau -> 0.
+    ||S_V(tau) f - e^{-tau L} f||^2 <= ||S_V(tau) f||^2 - ||e^{-tau L} f||^2
+    (norms in units of max(1, ||f||_m)), which makes them collapse as tau -> 0.
     """
     values = _as_values(op, V)
     f = np.asarray(f, dtype=float)
@@ -224,28 +216,28 @@ def sv_limit(op: OperatorRep, V, t: float, f, ks) -> SvReport:
     law_residual = op.norm(composed - value)
     taus = t * 0.5 ** np.arange(1, 11)
     cont_gaps = np.empty(len(taus))
+    scale = max(1.0, op.norm(f))
     for j, tau in enumerate(taus):
         u_v = sg_apply(full, tau, f)
         u_free = sg_apply(op, tau, f)
         cont_gaps[j] = op.norm(u_v - f)
-        lhs = np.sum((u_v - u_free) ** 2 * op.m)
-        rhs = np.sum(u_v ** 2 * op.m) - np.sum(u_free ** 2 * op.m)
-        scale = max(1.0, float(np.sum(f ** 2 * op.m)))
-        if lhs > rhs + 1e-12 * scale:
+        lhs, plus, minus = (op.norm(u) / scale
+                            for u in (u_v - u_free, u_v, u_free))
+        if lhs * lhs > plus * plus - minus * minus + 1e-12:
             raise InvariantViolation(
                 f"small-time continuity inequality violated at tau = {tau}"
             )
-    return SvReport(value=value, t=float(t), ks=ks,
-                    ladder_gaps=np.asarray(gaps), k_converged=k_converged,
+    return SvReport(value=value, ladder_gaps=np.asarray(gaps),
+                    k_converged=k_converged,
                     semigroup_law_residual=law_residual,
-                    continuity_times=taus, continuity_gaps=cont_gaps)
+                    continuity_gaps=cont_gaps)
 
 
 @dataclass(frozen=True, eq=False)
 class AdmissibilityVerdict:
     """Outcome of the three equivalent admissibility readings for (V, E).
 
-    (i)   ||S_V(t)|| <= e^{-Et} (exact operator norm),
+    (i)   ||S_V(t)|| <= e^{-Et} (exact operator norm, read off lambda0),
     (ii)  <f, S_V(t) g> <= ||f|| ||g|| e^{-Et} for all t (decided on the
           exact exponential rate of the pairing),
     (iii) lambda0(L, V) >= E.
@@ -274,19 +266,22 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
                         ) -> AdmissibilityVerdict:
     """Evaluate the admissibility criteria (i), (ii), (iii) independently.
 
-    (i) compares the exact operator norm e^{-t lambda0} of the limit
-    semigroup against e^{-tE}; (ii) asks that the pairing <f, S_V(t) g>
-    never outgrows ||f|| ||g|| e^{-tE}, decided on the exact exponential
-    rate of the pairing (the bottom of its spectral support) because at
-    any finite time the Cauchy-Schwarz prefactor can mask an E that
-    exceeds lambda0 by an arbitrarily small margin; (iii) compares
-    lambda0 and E directly.  All three must agree; a disagreement raises
-    EquivalenceViolation since on a finite graph they are provably
-    equivalent.  The truncated pairings along ``ks`` are additionally
-    required to obey the (ii) bound at the grid times whenever the
-    verdict is positive, and ``M`` records their worst log-margin.  An E
-    with E t not finite at some grid time (E itself not finite, or so
-    large that E t overflows) raises ValidationError before any work.
+    (i) is read off lambda0: it compares the exact operator norm
+    e^{-t lambda0} of the limit semigroup against e^{-tE} with the
+    tolerance of (iii), so it holds exactly when (iii) does; (ii) asks
+    that the pairing <f, S_V(t) g> never outgrows ||f|| ||g|| e^{-tE},
+    decided on the exact exponential rate of the pairing (the bottom of
+    its spectral support) because at any finite time the Cauchy-Schwarz
+    prefactor can mask an E that exceeds lambda0 by an arbitrarily small
+    margin; (iii) compares lambda0 and E directly.  f and g are divided
+    by their m-norms on entry, so no reading depends on their scale.
+    All three must agree; a disagreement raises EquivalenceViolation
+    since on a finite graph they are provably equivalent.  The truncated
+    pairings along ``ks`` are additionally required to obey the (ii)
+    bound at the grid times whenever the verdict is positive, and ``M``
+    records their worst log-margin.  An E with E t not finite at some
+    grid time (E itself not finite, or so large that E t overflows)
+    raises ValidationError before any work.
     """
     grid = TimeGrid.of(grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -303,7 +298,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
         raise ValidationError(
             "the pairing criterion needs entrywise positive f and g"
         )
-    norms = op.norm(f) * op.norm(g)
+    f, g = f / op.norm(f), g / op.norm(g)
     slack = math.log1p(1e-10)
     tol = 1e-10 * (1.0 + abs(E))
 
@@ -312,12 +307,12 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     holds_iii = lam >= E - tol
 
     # (i): log ||S_V(t)|| = -t lambda0 exactly, compared per grid time
-    holds_i = bool(np.all(-grid.times * lam <= -grid.times * E + slack))
+    holds_i = bool(np.all(-grid.times * lam <= -grid.times * (E - tol)))
 
     # (ii): the pairing grows like e^{-t inf supp}; the bound holds for
     # all t iff that bottom stays at or above E
     atoms = SpectralAtoms.pairing(eigendecompose(full), f, g)
-    support = atoms.supported(SUPPORT_MASS_TOL * norms).energies
+    support = atoms.supported(SUPPORT_MASS_TOL).energies
     if support.size == 0:
         raise EquivalenceViolation(
             "positive f, g lost all spectral mass under L - V"
@@ -330,13 +325,12 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
             f"(ii)={holds_ii} (iii)={holds_iii} for E={E}, lambda0={lam}"
         )
 
-    log_M = math.log(norms) if norms > 0 else -math.inf
     worst = -math.inf
     for k in ks:
         shifted = shift_by_potential(op, np.minimum(values, k))
         atoms = SpectralAtoms.pairing(eigendecompose(shifted), f, g)
         logs, _ = atoms.log_pairing(grid.times)
-        margins = logs - (log_M - E * grid.times)
+        margins = logs + E * grid.times
         worst = max(worst, float(np.max(margins)))
         if holds_ii and np.any(margins > slack):
             raise EquivalenceViolation(
@@ -397,16 +391,12 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         backward = sg_apply(full, t - delta, f)
         du = (forward - backward) / (2.0 * delta)
         res = du + (full.S @ (rs * u[j])) / rs
-        scale = op.norm(u[j])
-        residuals[j - 1] = op.norm(res) / max(scale, 1e-300)
+        residuals[j - 1] = op.norm(res) / max(op.norm(u[j]), 1e-300)
 
-    norm_f = op.norm(f)
-    log_margins = np.empty(len(grid.times))
-    for j, t in enumerate(grid.times):
-        norm_u = op.norm(u[j])
-        log_u = math.log(norm_u) if norm_u > 0 else -math.inf
-        log_bound = (math.log(norm_f) if norm_f > 0 else -math.inf) - lam * t
-        log_margins[j] = log_u - log_bound
+    # a u(t) below the floating range has norm 0 and margin -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norms = np.log([op.norm(v) for v in (f, *u)])
+        log_margins = log_norms[1:] - log_norms[0] + lam * grid.times
     return ApproximatedSolution(times=grid.times, values=u, ladder=ladder,
                                 ode_residuals=residuals,
                                 log_bound_margins=log_margins, lambda0=lam)
@@ -416,14 +406,13 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
 class ProbeReport:
     """Per-stage ground energies of an exhaustion experiment.
 
-    ``diverging`` is set when lambda0 keeps dropping by at least
-    ``margin`` per stage across three or more stages; ``lambda0_limit``
-    is then the sentinel -inf.
+    ``diverging`` is set when lambda0 keeps dropping by at least the
+    probe's ``margin`` per stage across three or more stages;
+    ``lambda0_limit`` is then the sentinel -inf.
     """
 
     lambda0s: tuple[float, ...]
     sizes: tuple[int, ...]
-    margin: float
     diverging: bool
     lambda0_limit: float
     truncation_energies: tuple[tuple[float, ...], ...]
@@ -465,6 +454,5 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
     )
     limit = -math.inf if diverging else min(lams)
     return ProbeReport(lambda0s=tuple(lams), sizes=tuple(sizes),
-                       margin=float(margin), diverging=diverging,
-                       lambda0_limit=limit,
+                       diverging=diverging, lambda0_limit=limit,
                        truncation_energies=tuple(bounds))

@@ -392,6 +392,15 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
         f"{dim - 2} and {dim} differ by {change:.2e} of the answer")
 
 
+def _finite_datum(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValidationError(
+            f"datum f is not finite ({np.count_nonzero(~np.isfinite(f))} "
+            f"of its {f.size} entries are inf or nan)")
+    return f
+
+
 def _check_finite(t: float) -> None:
     if not math.isfinite(t):
         raise ValidationError(f"time t = {t} is not finite")
@@ -430,11 +439,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     _check_finite(t)
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValidationError(
-            f"datum f is not finite ({np.count_nonzero(~np.isfinite(f))} "
-            f"of its {f.size} entries are inf or nan)")
+    f = _finite_datum(f)
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
@@ -458,9 +463,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
 class HeatKernel:
     """Heat kernel p_t(x, y) = (e^{-tL} delta_y)(x) / m(y) as a matrix."""
 
-    t: float
     p: np.ndarray
-    m: np.ndarray
 
 
 def heat_kernel(op: OperatorRep, t: float,
@@ -508,7 +511,7 @@ def heat_kernel(op: OperatorRep, t: float,
             p = np.column_stack([apply(op, t, delta, method)
                                  for delta in np.eye(op.n)]) / op.m
     _finite(p, t, method)
-    return HeatKernel(t=float(t), p=p, m=op.m)
+    return HeatKernel(p=p)
 
 
 def kernel_column(op: OperatorRep, t: float, y: str | int,
@@ -580,8 +583,8 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     Converges to e^{-t(L-V)} f at rate O(1/n); each factor preserves
     positivity, which is what several entrywise comparison checks lean
     on.  Each step expands in the stored m-orthonormal eigenbasis.  A
-    potential of the wrong shape raises ValueError, one with a
-    non-finite entry ValidationError.
+    potential of the wrong shape raises ValueError; a potential or datum
+    with a non-finite entry raises ValidationError before any work.
     """
     _check_finite(t)
     if t < 0:
@@ -593,7 +596,7 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
         raise ValueError(f"potential must have shape ({op.n},)")
     if not np.all(np.isfinite(V)):
         raise ValidationError("potential V is not finite")
-    f = np.asarray(f, dtype=float)
+    f = _finite_datum(f)
     h = t / n
     sd = eigendecompose(op)
     decay = decay_factors(sd.eigenvalues, h)

@@ -97,12 +97,6 @@ class SectionResult:
     reports: tuple[OracleReport, ...]
     passed: bool
 
-    @property
-    def worst(self) -> OracleReport | None:
-        if not self.reports:
-            return None
-        return max(self.reports, key=lambda r: r.rel_dev)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -197,6 +197,32 @@ def test_solve_artifacts(tmp_path, data_dir):
     assert len(rows) == 10 * 3  # grid times x vertices
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_margin_stays_finite_as_u_grows(tmp_path, data_dir):
+    # u(2048) is about 1e295, so its squared norm overflows
+    assert main(["solve", "--graph", str(data_dir / "path3.json"),
+                 "--potential", str(data_dir / "well_potential.json"),
+                 "--t0", "1", "--ratio", "2", "--count", "12",
+                 "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "solve.json").read_text(),
+                   parse_constant=_reject_constant)
+    assert -1.0 < d["max_log_bound_margin"] <= 1e-9
+
+
+def test_perturb_admits_an_energy_just_above_lambda0(tmp_path, data_dir):
+    # lambda0 + 2e-12, inside the verdict's tolerance
+    assert main(["perturb", "--graph", str(data_dir / "path3.json"),
+                 "--potential", str(data_dir / "well_potential.json"),
+                 "--E", "-0.3316210909832", "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "perturb.json").read_text())
+    assert d["admissibility"]["admissible"] is True
+    assert d["admissibility"]["holds_i"] is True
+
+
 def test_counterexample_artifacts(tmp_path):
     assert main(["counterexample", "--lambda2", "0.6",
                  "--out", str(tmp_path)]) == 0

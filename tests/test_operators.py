@@ -257,6 +257,16 @@ def test_spectral_measure_parseval(rng):
             sm.total_mass, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [1e200, -1e200, 1e-200, 0.0])
+def test_norm_is_scale_safe(rng, size):
+    # the squares of these entries leave the floating range
+    op = assemble(random_graph(rng, n_max=12))
+    expected = abs(size) * np.sqrt(np.sum(op.m))
+    assert op.norm(np.full(op.n, size)) == pytest.approx(expected, rel=1e-14,
+                                                          abs=0.0)
+
+
 def test_spectral_measure_rejects_zero(single_edge_op):
     with pytest.raises(ZeroVector):
         spectral_measure(eigendecompose(single_edge_op), np.zeros(2))

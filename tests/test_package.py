@@ -27,6 +27,23 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
+def test_names_imported_from_the_package_are_used():
+    # a name one module imports from another and never reads is a dead
+    # dependency; __init__.py imports names only to export them
+    unused = []
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.name}"
+                   for node in ast.walk(tree) if _is_package_import(node)
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in read]
+    assert unused == []
+
+
 def _private_module_reads(tree, modules) -> list[str]:
     """``module._name`` reads in ``tree`` of a package module."""
     bound = set()

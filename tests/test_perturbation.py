@@ -203,6 +203,19 @@ def test_admissibility_rejects_a_non_finite_bound(single_edge_op, E,
     assert decompositions == []
 
 
+@pytest.mark.parametrize("offset", [2e-12, 5e-11])
+def test_admissibility_agrees_within_its_tolerance(single_edge_op, offset):
+    # E a hair above lambda0 lies inside the tolerance of (ii) and (iii),
+    # and (i) must read it with the same tolerance, however long the grid
+    V = np.array([3.0, 0.0])
+    E = lambda0(single_edge_op, V) + offset
+    grid = TimeGrid.geometric(t0=0.5, ratio=2.0, count=10)
+    verdict = admissibility_check(single_edge_op, V, E, np.array([1.0, 0.5]),
+                                  np.array([0.5, 1.0]), grid,
+                                  ks=[0.0, 1.0, 2.0, 3.0])
+    assert verdict.holds_i and verdict.holds_ii and verdict.holds_iii
+
+
 def test_admissibility_random_triples(rng):
     for _ in range(10):
         op = assemble(random_graph(rng, n_max=10, c_scale=0.5))

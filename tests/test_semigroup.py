@@ -832,6 +832,14 @@ def test_trotter_rejects_bad_potential(path3):
         trotter(op, np.zeros(2), 1.0, 4, f)
 
 
+def test_trotter_rejects_a_non_finite_datum(path3, decompositions):
+    op = assemble(path3)
+    for bad in ([np.nan, 1.0, 1.0], [1.0, -np.inf, 1.0]):
+        with pytest.raises(ValidationError, match="datum f is not finite"):
+            trotter(op, np.zeros(op.n), 1.0, 4, bad)
+    assert decompositions == []
+
+
 def test_trotter_zero_potential(rng):
     op = assemble(random_graph(rng, n_max=15))
     f = random_vector(rng, op.n)
