@@ -41,6 +41,7 @@ from .operators import (
     SUPPORT_MASS_TOL,
     OperatorRep,
     SpectralAtoms,
+    checked_datum,
     coefficients,
     decay_factors,
     eigendecompose,
@@ -173,10 +174,14 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
 
     Raises
     ------
+    ValueError, ValidationError
+        If f or g is not a finite vertex function
+        (:func:`~heatlab.operators.checked_datum`).
     NonPositivePairing
         If q(t) fails to be strictly positive at some grid time, or f or
         g is zero.
     """
+    f, g = checked_datum(f, op.n, "f"), checked_datum(g, op.n, "g")
     grid = TimeGrid.of(grid)
     norms = op.norm(f), op.norm(g)
     if 0.0 in norms:
@@ -331,8 +336,10 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
 
     They are bounded by ||f||_m e^{-(E' - E0) t} with E' the bottom of
     the spectral support of (I - P) f, which is what the calling tests
-    assert.  They are summed for f/||f||_m and scaled back.
+    assert.  They are summed for f/||f||_m and scaled back; f is read by
+    :func:`~heatlab.operators.checked_datum`.
     """
+    f = checked_datum(f, op.n, "f")
     grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     norm = op.norm(f)

@@ -31,14 +31,11 @@ import numpy as np
 
 from .errors import (
     InvariantViolation,
-    NegativeTime,
     NonPositivePairing,
-    NonPositiveTime,
     ResonantParameters,
     TruncationInsufficient,
-    ValidationError,
 )
-from .semigroup import pade13_expm
+from .semigroup import check_time, pade13_expm
 from .asymptotics import RateEstimate, TimeGrid
 
 __all__ = [
@@ -118,14 +115,30 @@ def _check_lam(model: ShiftModel, lam: float) -> float:
     return lam
 
 
+def _check_orbit_time(model: ShiftModel, lam: float, t: float) -> None:
+    """t checked by :func:`~heatlab.semigroup.check_time` (t >= 0), and
+    small enough that the orbit's growth e^{r t}, r = max(lam, 2 mu),
+    stays in floating range; a larger t raises ValueError."""
+    check_time(t, positive=False)
+    rate = max(lam, 2.0 * model.mu)
+    if rate * t > 700.0:
+        raise ValueError(
+            f"e^(r t) overflows at r t = {rate * t:.1f}, with r = "
+            f"max(lam, 2 mu) = {rate}; use counterexample_rate for large "
+            "times"
+        )
+
+
 def closed_orbit(model: ShiftModel, lam: float, t: float) -> np.ndarray:
     """The two-eigenmode closed form of e^{t L1} y_lam.
 
     Independent of the matrix: only scalars e^{lam t}, e^{2 mu t} and
     the stored geometric vectors enter, which makes it the reference
-    the matrix-exponential orbit is tested against.
+    the matrix-exponential orbit is tested against.  t is checked as in
+    :func:`shift_orbit`.
     """
     lam = _check_lam(model, lam)
+    _check_orbit_time(model, lam, t)
     a = lam / (lam - 2.0 * model.mu)
     grow = math.exp(lam * t)
     return (grow * model.geometric(lam)
@@ -138,17 +151,13 @@ def shift_orbit(model: ShiftModel, lam: float, t: float) -> np.ndarray:
     Matches :func:`closed_orbit` to relative 1e-8 for lam * t <= 40;
     the deviation is the truncation error surfacing, controlled by the
     tail bounds on y_mu and y_lam.  At t = 0 it returns y_lam exactly.
+    A t that is not finite or negative raises as in
+    :func:`~heatlab.semigroup.check_time`, and one with
+    max(lam, 2 mu) t > 700, where the orbit leaves the floating range,
+    raises ValueError.
     """
     lam = _check_lam(model, lam)
-    if not math.isfinite(t):
-        raise ValidationError(f"time t = {t} is not finite")
-    if t < 0:
-        raise NegativeTime(f"t = {t} must be non-negative")
-    if lam * t > 700.0:
-        raise ValueError(
-            f"e^(lam t) overflows at lam t = {lam * t:.1f}; "
-            "use counterexample_rate for large times"
-        )
+    _check_orbit_time(model, lam, t)
     F, _ = pade13_expm(t * model.L1)
     return F @ model.geometric(lam)
 
@@ -228,10 +237,7 @@ def is_positivity_improving_shift(model: ShiftModel, t: float, *,
     at small t).  The bare shift is triangular: its exponential has an
     exactly zero lower triangle at every t, so the verdict is False.
     """
-    if not math.isfinite(t):
-        raise ValidationError(f"time t = {t} is not finite")
-    if t <= 0:
-        raise NonPositiveTime(f"t = {t} must be positive")
+    check_time(t, positive=True)
     if shift_only:
         M = np.zeros((model.N, model.N))
         idx = np.arange(model.N - 1)

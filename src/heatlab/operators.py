@@ -36,6 +36,8 @@ __all__ = [
     "SpectralAtoms",
     "SpectralMeasure",
     "assemble",
+    "checked_datum",
+    "checked_potential",
     "decay_factors",
     "kernel_sum",
     "log_sum_exp",
@@ -139,6 +141,40 @@ def assemble(g: WeightedGraph) -> OperatorRep:
     return OperatorRep(S=S, m=g.m.copy(), lower_bound=0.0, graph=g)
 
 
+def checked_datum(f, n: int, name: str) -> np.ndarray:
+    """The vertex function ``f`` (called ``name`` in messages) as floats.
+
+    The one home of the datum rule: shape (n,), else ValueError naming
+    the shape, and every entry finite, else ValidationError counting the
+    entries that are not.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise ValueError(f"datum {name} must have shape ({n},), got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValidationError(
+            f"datum {name} is not finite ({np.count_nonzero(~np.isfinite(f))}"
+            f" of its {n} entries are inf or nan)")
+    return f
+
+
+def checked_potential(V, n: int) -> np.ndarray:
+    """A potential (an array or anything with ``values``) as floats.
+
+    The one home of the potential rule: shape (n,), else ValueError, and
+    every entry finite, else ValidationError.  The sign is free here;
+    :class:`~heatlab.perturbation.Potential` adds V >= 0.
+    """
+    V = np.asarray(getattr(V, "values", V), dtype=float)
+    if V.shape != (n,):
+        raise ValueError(f"potential must have shape ({n},)")
+    if not np.all(np.isfinite(V)):
+        raise ValidationError(
+            f"potential V is not finite ({np.count_nonzero(~np.isfinite(V))}"
+            f" of its {n} entries are inf or nan)")
+    return V
+
+
 # shifted operators of the most recently shifted base operator, by the
 # bytes of the potential; the entry dies with its base operator
 _shift_cache: "weakref.WeakKeyDictionary[OperatorRep, dict]" = (
@@ -159,13 +195,9 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     L - V once across calls.  They are released when another base
     operator is shifted or ``op`` dies, so the memory held is at most
     one base operator's levels (their S, and the eigendata kept on them).
-    A potential with an inf or nan entry raises ValidationError.
+    V is read by :func:`checked_potential`.
     """
-    V = np.asarray(getattr(V, "values", V), dtype=float)
-    if V.shape != (op.n,):
-        raise ValueError(f"potential must have shape ({op.n},)")
-    if not np.all(np.isfinite(V)):
-        raise ValidationError("potential V is not finite")
+    V = checked_potential(V, op.n)
     if not V.any():
         return op
     if op not in _shift_cache:
@@ -365,10 +397,12 @@ def spectral_measure(sd: SpectralData, f) -> SpectralMeasure:
 
     Raises
     ------
+    ValueError, ValidationError
+        If f is not a finite vertex function (:func:`checked_datum`).
     ZeroVector
         If f has no nonzero entry.
     """
-    f = np.asarray(f, dtype=float)
+    f = checked_datum(f, sd.m.size, "f")
     if not f.any():
         raise ZeroVector("the zero vector has no spectral measure")
     norm = _m_norm(f, sd.m)

@@ -27,6 +27,7 @@ from .errors import (
     InvariantViolation,
     NegativeInitialDatum,
     NegativeWeight,
+    NumericsError,
     ValidationError,
 )
 from .graphs import WeightedGraph, is_connected
@@ -35,6 +36,8 @@ from .operators import (
     OperatorRep,
     SpectralAtoms,
     assemble,
+    checked_datum,
+    checked_potential,
     eigendecompose,
     shift_by_potential,
 )
@@ -60,14 +63,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Non-negative potential aligned with a graph's vertex order."""
+    """Non-negative potential aligned with a graph's vertex order.
+
+    Only the sign is checked here; shape and finiteness are checked where
+    the potential is read (:func:`~heatlab.operators.checked_potential`).
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise NegativeWeight("potentials must be non-negative and finite")
+        if np.any(values < 0):
+            raise NegativeWeight("potentials must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -81,17 +88,14 @@ class Potential:
 
 
 def _as_values(op: OperatorRep, V) -> np.ndarray:
-    if isinstance(V, Potential):
-        values = V.values
-    elif isinstance(V, dict):
+    """A Potential, a {vertex id: value} mapping or an array, as values."""
+    if isinstance(V, dict):
         if op.graph is None:
             raise ValueError("mapping potentials need a graph-backed operator")
-        values = Potential.from_mapping(op.graph, V).values
-    else:
-        values = Potential(np.asarray(V, dtype=float)).values
-    if values.shape != (op.n,):
-        raise ValueError(f"potential must have shape ({op.n},)")
-    return values
+        V = Potential.from_mapping(op.graph, V)
+    elif not isinstance(V, Potential):
+        V = Potential(V)
+    return checked_potential(V, op.n)
 
 
 def _levels(ks) -> tuple[float, ...]:
@@ -157,11 +161,12 @@ class TruncationLadder:
 def truncation_ladder(op: OperatorRep, V, f, grid, ks) -> TruncationLadder:
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
+    f = checked_datum(f, op.n, "f")  # min(f, k) would hide an inf
     ks = tuple(sorted(_levels(ks)))
     trajectories = np.empty((len(ks), len(grid.times), op.n))
     for i, k in enumerate(ks):
         shifted = shift_by_potential(op, np.minimum(values, k))
-        f_k = np.minimum(np.asarray(f, dtype=float), k)
+        f_k = np.minimum(f, k)
         for j, t in enumerate(grid.times):
             trajectories[i, j] = sg_apply(shifted, t, f_k)
     return TruncationLadder(ks=ks, trajectories=trajectories)
@@ -266,15 +271,17 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
                         ) -> AdmissibilityVerdict:
     """Evaluate the admissibility criteria (i), (ii), (iii) independently.
 
-    (i) is read off lambda0: it compares the exact operator norm
-    e^{-t lambda0} of the limit semigroup against e^{-tE} with the
-    tolerance of (iii), so it holds exactly when (iii) does; (ii) asks
-    that the pairing <f, S_V(t) g> never outgrows ||f|| ||g|| e^{-tE},
-    decided on the exact exponential rate of the pairing (the bottom of
-    its spectral support) because at any finite time the Cauchy-Schwarz
-    prefactor can mask an E that exceeds lambda0 by an arbitrarily small
-    margin; (iii) compares lambda0 and E directly.  f and g are divided
-    by their m-norms on entry, so no reading depends on their scale.
+    (i) is read off lambda0: the exact operator norm e^{-t lambda0} of
+    the limit semigroup stays below e^{-tE} for every t > 0 exactly when
+    lambda0 >= E, so (i) is the comparison of (iii), tolerance included;
+    (ii) asks that the pairing <f, S_V(t) g> never outgrows
+    ||f|| ||g|| e^{-tE}, decided on the exact exponential rate of the
+    pairing (the bottom of its spectral support) because at any finite
+    time the Cauchy-Schwarz prefactor can mask an E that exceeds lambda0
+    by an arbitrarily small margin; (iii) compares lambda0 and E
+    directly.  f and g are read by
+    :func:`~heatlab.operators.checked_datum` and divided by their
+    m-norms, so no reading depends on their scale.
     All three must agree; a disagreement raises EquivalenceViolation
     since on a finite graph they are provably equivalent.  The truncated
     pairings along ``ks`` are additionally required to obey the (ii)
@@ -292,8 +299,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
             f"{grid.times[unbounded][0]}")
     values = _as_values(op, V)
     ks = _levels(ks)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
+    f, g = checked_datum(f, op.n, "f"), checked_datum(g, op.n, "g")
     if not (np.all(f > 0) and np.all(g > 0)):
         raise ValidationError(
             "the pairing criterion needs entrywise positive f and g"
@@ -304,10 +310,10 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
 
     full = shift_by_potential(op, values)
     lam = _ground_energy(full)
-    holds_iii = lam >= E - tol
-
-    # (i): log ||S_V(t)|| = -t lambda0 exactly, compared per grid time
-    holds_i = bool(np.all(-grid.times * lam <= -grid.times * (E - tol)))
+    # (i): ||S_V(t)|| = e^{-t lambda0} <= e^{-tE} for every t > 0 exactly
+    # when lambda0 >= E, the comparison of (iii); products t lambda0 would
+    # round differently from t E at subnormal t
+    holds_i = holds_iii = bool(lam >= E - tol)
 
     # (ii): the pairing grows like e^{-t inf supp}; the bound holds for
     # all t iff that bottom stays at or above E
@@ -364,20 +370,36 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
                           ) -> ApproximatedSolution:
     """Solve u' + (L - V) u = 0, u(0) = f, through the truncation ladder.
 
+    The evolution, its residuals and its margins are computed for f
+    divided by the power of two that brings max f into [1, 2), and u is
+    scaled back; both steps are exact short of the floating range, so u
+    is e^{-t(L - V)} f bit for bit and no reading depends on the scale
+    of f.  Where u(t) lies below the floating range (norm 0) its margin
+    is -inf and its residual is taken unnormalized, on that scaled
+    datum.  A zero f has the exact solution u = 0, with every residual 0
+    and every margin -inf.
+
     Raises
     ------
+    ValueError, ValidationError
+        If f is not a finite vertex function
+        (:func:`~heatlab.operators.checked_datum`).
     NegativeInitialDatum
         If f has a negative entry; the approximating scheme
         f_k = min(f, k) needs f >= 0.
+    NumericsError
+        If u(t) overflows the floating-point range.
     """
     grid = TimeGrid.of(grid)
     values = _as_values(op, V)
-    f = np.asarray(f, dtype=float)
+    f = checked_datum(f, op.n, "f")
     if np.any(f < 0):
         raise NegativeInitialDatum("initial datum must be non-negative")
     ladder = truncation_ladder(op, values, f, grid, ks)
     full = shift_by_potential(op, values)
-    u = np.array([sg_apply(full, t, f) for t in grid.times])
+    scale = math.ldexp(0.5, math.frexp(np.max(f))[1])
+    unit = f / scale
+    u = np.array([sg_apply(full, t, unit) for t in grid.times])
     lam = _ground_energy(full)
 
     # central differences with a step tuned to the curvature scale
@@ -387,16 +409,22 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
     residuals = np.empty(max(len(grid.times) - 2, 0))
     for j in range(1, len(grid.times) - 1):
         t = grid.times[j]
-        forward = sg_apply(full, t + delta, f)
-        backward = sg_apply(full, t - delta, f)
+        forward = sg_apply(full, t + delta, unit)
+        backward = sg_apply(full, t - delta, unit)
         du = (forward - backward) / (2.0 * delta)
-        res = du + (full.S @ (rs * u[j])) / rs
-        residuals[j - 1] = op.norm(res) / max(op.norm(u[j]), 1e-300)
+        res = op.norm(du + (full.S @ (rs * u[j])) / rs)
+        residuals[j - 1] = res / (op.norm(u[j]) or 1.0)
 
-    # a u(t) below the floating range has norm 0 and margin -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_norms = np.log([op.norm(v) for v in (f, *u)])
-        log_margins = log_norms[1:] - log_norms[0] + lam * grid.times
+    # log ||u(t)||_m - log ||f||_m + lambda0 t
+    with np.errstate(divide="ignore"):
+        log_norms = np.log([op.norm(v) for v in u])
+    log_f = math.log(op.norm(unit)) if f.any() else 0.0
+    log_margins = log_norms - log_f + lam * grid.times
+    with np.errstate(over="ignore"):
+        u = scale * u
+    if not np.all(np.isfinite(u)):
+        raise NumericsError(
+            "u(t) = e^(-t(L - V)) f overflows the floating-point range")
     return ApproximatedSolution(times=grid.times, values=u, ladder=ladder,
                                 ode_residuals=residuals,
                                 log_bound_margins=log_margins, lambda0=lam)

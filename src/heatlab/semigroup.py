@@ -52,8 +52,9 @@ from .errors import (
     SingularShift,
     ValidationError,
 )
-from .operators import (OperatorRep, coefficients, decay_factors,
-                        eigendecompose, kernel_sum)
+from .operators import (OperatorRep, checked_datum, checked_potential,
+                        coefficients, decay_factors, eigendecompose,
+                        kernel_sum)
 
 __all__ = [
     "SemigroupMethod",
@@ -68,6 +69,7 @@ __all__ = [
     "chapman_kolmogorov_defect",
     "resolvent",
     "trotter",
+    "check_time",
     "pade13_expm",
 ]
 
@@ -392,18 +394,18 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
         f"{dim - 2} and {dim} differ by {change:.2e} of the answer")
 
 
-def _finite_datum(f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValidationError(
-            f"datum f is not finite ({np.count_nonzero(~np.isfinite(f))} "
-            f"of its {f.size} entries are inf or nan)")
-    return f
+def check_time(t: float, positive: bool) -> None:
+    """The one home of the time rule.
 
-
-def _check_finite(t: float) -> None:
+    t must be finite (else ValidationError), >= 0 (else NegativeTime)
+    and, where ``positive``, > 0 (else NonPositiveTime, for t <= 0).
+    """
     if not math.isfinite(t):
         raise ValidationError(f"time t = {t} is not finite")
+    if positive and t <= 0:
+        raise NonPositiveTime(f"needs t > 0, got t = {t}")
+    if t < 0:
+        raise NegativeTime(f"t = {t} < 0")
 
 
 def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
@@ -426,7 +428,10 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     Raises
     ------
     ValidationError
-        If t is not finite, or f has a non-finite entry.
+        If t is not finite (:func:`check_time`), or f has a non-finite
+        entry (:func:`~heatlab.operators.checked_datum`).
+    ValueError
+        If f does not have shape (n,).
     NegativeTime
         If t < 0.
     NumericsError
@@ -436,10 +441,8 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     KrylovBreakdown
         If the Krylov pass does not converge within its 60 steps.
     """
-    _check_finite(t)
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
-    f = _finite_datum(f)
+    check_time(t, positive=False)
+    f = checked_datum(f, op.n, "f")
     if t == 0:
         return f.copy()
     method = method or SPECTRAL
@@ -495,9 +498,7 @@ def heat_kernel(op: OperatorRep, t: float,
     KrylovBreakdown
         If a Krylov column does not converge within 60 steps.
     """
-    _check_finite(t)
-    if t <= 0:
-        raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
+    check_time(t, positive=True)
     method = method or SPECTRAL
     if method.tag != "scaling-squaring":  # _squarings checks, naming s
         _check_resolution(t * op.s_norm1, f"{method.tag} at t = {t}")
@@ -521,9 +522,7 @@ def kernel_column(op: OperatorRep, t: float, y: str | int,
     ``y`` is a vertex id or a position in ``0 .. n - 1``; anything else
     raises UnknownVertex.
     """
-    _check_finite(t)
-    if t <= 0:
-        raise NonPositiveTime(f"heat kernel needs t > 0, got t = {t}")
+    check_time(t, positive=True)
     iy = op.graph.vertex_index(y)
     delta = np.zeros(op.n)
     delta[iy] = 1.0
@@ -561,9 +560,12 @@ def resolvent(op: OperatorRep, alpha: float) -> np.ndarray:
 
     A failed Cholesky factorization S + alpha = C C^T (the shifted
     operator is not positive definite, so alpha <= -E0) raises
-    SingularShift.  (S + alpha)^{-1} is formed as C^{-T} C^{-1}, which
+    SingularShift, and an alpha that is not finite raises
+    ValidationError.  (S + alpha)^{-1} is formed as C^{-T} C^{-1}, which
     comes out exactly symmetric.
     """
+    if not math.isfinite(alpha):
+        raise ValidationError(f"resolvent shift alpha = {alpha} is not finite")
     shifted = op.S + alpha * np.eye(op.n)
     try:
         C = np.linalg.cholesky(shifted)
@@ -582,21 +584,16 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
 
     Converges to e^{-t(L-V)} f at rate O(1/n); each factor preserves
     positivity, which is what several entrywise comparison checks lean
-    on.  Each step expands in the stored m-orthonormal eigenbasis.  A
-    potential of the wrong shape raises ValueError; a potential or datum
-    with a non-finite entry raises ValidationError before any work.
+    on.  Each step expands in the stored m-orthonormal eigenbasis.  t,
+    V and f are checked by :func:`check_time`,
+    :func:`~heatlab.operators.checked_potential` and
+    :func:`~heatlab.operators.checked_datum` before any work.
     """
-    _check_finite(t)
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
+    check_time(t, positive=False)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    V = np.asarray(getattr(V, "values", V), dtype=float)
-    if V.shape != (op.n,):
-        raise ValueError(f"potential must have shape ({op.n},)")
-    if not np.all(np.isfinite(V)):
-        raise ValidationError("potential V is not finite")
-    f = _finite_datum(f)
+    V = checked_potential(V, op.n)
+    f = checked_datum(f, op.n, "f")
     h = t / n
     sd = eigendecompose(op)
     decay = decay_factors(sd.eigenvalues, h)

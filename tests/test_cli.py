@@ -223,6 +223,19 @@ def test_perturb_admits_an_energy_just_above_lambda0(tmp_path, data_dir):
     assert d["admissibility"]["holds_i"] is True
 
 
+def test_perturb_rejects_an_energy_at_subnormal_times(tmp_path, data_dir):
+    # E a little above lambda0 on a grid from the least subnormal time,
+    # where t lambda0 and t E round alike: (i) must come from
+    # lambda0 >= E, as (iii) does, for the three readings to agree
+    assert main(["perturb", "--graph", str(data_dir / "path3.json"),
+                 "--potential", str(data_dir / "well_potential.json"),
+                 "--E", "-0.33", "--t0", "5e-324", "--ratio", "2",
+                 "--count", "3", "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "perturb.json").read_text())
+    assert d["admissibility"]["admissible"] is False
+    assert d["admissibility"]["holds_i"] is False
+
+
 def test_counterexample_artifacts(tmp_path):
     assert main(["counterexample", "--lambda2", "0.6",
                  "--out", str(tmp_path)]) == 0

@@ -206,3 +206,71 @@ def test_scipy_is_imported_only_inside_functions():
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+# the errors of each input rule: exception names, or the literal start of
+# the message
+RULE_ERRORS = {
+    "time": ("NegativeTime", "NonPositiveTime", "time t = "),
+    "datum": ("datum ",),
+    "potential": ("potential must have shape", "potential V is not finite"),
+}
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _rule_raisers(tree, module) -> dict[str, list[str]]:
+    """Per input rule, the functions of ``tree`` that raise its errors."""
+    raisers = {rule: [] for rule in RULE_ERRORS}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        marks = set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                marks.add(ast.unparse(node.exc.func))
+                marks |= {part.value for arg in node.exc.args
+                          for part in ast.walk(arg)
+                          if isinstance(part, ast.Constant)
+                          and isinstance(part.value, str)}
+        for rule, keys in RULE_ERRORS.items():
+            if any(mark.startswith(key) for mark in marks for key in keys):
+                raisers[rule].append(f"{module}.{fn.name}")
+    return raisers
+
+
+def test_each_input_rule_has_one_raiser():
+    # a time, a vertex function and a potential are each checked in one
+    # public home, so the rules cannot drift apart
+    probe = ast.parse(
+        "def f(t):\n"
+        "    def g():\n"
+        "        raise NegativeTime('t < 0')\n"
+        "    raise ValueError(f'datum {t} must have shape')\n")
+    assert _rule_raisers(probe, "probe") == {
+        "time": ["probe.g"], "datum": ["probe.f"], "potential": []}
+    raisers = {rule: [] for rule in RULE_ERRORS}
+    readers = []
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for rule, found in _rule_raisers(tree, path.stem).items():
+            raisers[rule] += found
+        readers += [f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in _own_nodes(fn)
+                    if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "getattr"
+                    and "'values'" in ast.unparse(node)]
+    assert raisers == {"time": ["semigroup.check_time"],
+                       "datum": ["operators.checked_datum"],
+                       "potential": ["operators.checked_potential"]}
+    assert readers == ["operators.checked_potential"]

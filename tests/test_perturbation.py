@@ -30,8 +30,9 @@ EDGE_WELL_LAMBDA0 = (-1.0 - np.sqrt(13.0)) / 2.0
 def test_potential_validation(path3):
     with pytest.raises(NegativeWeight):
         Potential(np.array([1.0, -0.1, 0.0]))
-    with pytest.raises(NegativeWeight):
-        Potential(np.array([np.inf, 0.0]))
+    # finiteness is the potential rule's, checked where V is read
+    with pytest.raises(ValidationError, match="potential V is not finite"):
+        lambda0(assemble(path3), Potential(np.array([np.inf, 0.0, 0.0])))
     p = Potential.from_mapping(path3, {"1": 3.0, "3": 0.5})
     npt.assert_array_equal(p.values, [3.0, 0.0, 0.5])
 

@@ -91,6 +91,37 @@ def test_approximated_solution_margins_are_scale_free(case, s):
                         rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("s", SCALES + (2.0 ** -1030,))
+def test_approximated_solution_residuals_are_scale_free(case, s):
+    # the residuals are rounding noise of the central differences: a
+    # scale that rounds f moves them, but not by orders of magnitude, and
+    # a subnormal f is no exception
+    op, V, f, _, ks = case
+    unit = approximated_solution(op, V, f, GRID, ks)
+    scaled = approximated_solution(op, V, s * f, GRID, ks)
+    assert np.max(scaled.ode_residuals) == pytest.approx(
+        np.max(unit.ode_residuals), rel=0.5)
+
+
+def test_approximated_solution_is_exact_under_a_power_of_two(case):
+    op, V, f, _, ks = case
+    s = 2.0 ** -900
+    unit = approximated_solution(op, V, f, GRID, ks)
+    scaled = approximated_solution(op, V, s * f, GRID, ks)
+    npt.assert_array_equal(scaled.values, s * unit.values)
+    npt.assert_array_equal(scaled.ode_residuals, unit.ode_residuals)
+    npt.assert_array_equal(scaled.log_bound_margins, unit.log_bound_margins)
+
+
+def test_approximated_solution_of_zero_is_zero(case):
+    # u = 0 solves the equation exactly; the bound 0 <= 0 holds, and a
+    # zero norm reads margin -inf as for a u(t) below the floating range
+    op, V, _, _, ks = case
+    sol = approximated_solution(op, V, np.zeros(op.n), GRID, ks)
+    assert not sol.values.any() and not sol.ode_residuals.any()
+    assert np.all(sol.log_bound_margins == -np.inf)
+
+
 @pytest.mark.parametrize("s", SCALES)
 def test_strong_convergence_residuals_scale_with_f(case, s):
     op, _, f, _, _ = case
