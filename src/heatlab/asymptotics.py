@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolation,
     NonPositivePairing,
     NoSpectralGap,
+    NumericsError,
     PositivityConnectivityMismatch,
     ValidationError,
     ZeroKernelEntry,
@@ -46,6 +47,7 @@ from .operators import (
     decay_factors,
     eigendecompose,
     kernel_sum,
+    power_of_two_scale,
 )
 from .semigroup import SCALING_SQUARING, heat_kernel, resolvent
 
@@ -170,7 +172,10 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
     The target is the smallest eigenvalue carrying joint spectral mass
     of f and g; for f = g that is the bottom of supp rho_f, and for
     positive f, g on a connected graph it is E0.  It pairs f/||f||_m with
-    g/||g||_m and adds log ||f||_m ||g||_m back, so no scale is lost.
+    g/||g||_m and adds log ||f||_m ||g||_m back, so no scale is lost;
+    the norms are taken of f and g divided by a power of two
+    (:func:`~heatlab.operators.power_of_two_scale`), so they stay finite
+    where ||f||_m itself would overflow.
 
     Raises
     ------
@@ -183,6 +188,8 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
     """
     f, g = checked_datum(f, op.n, "f"), checked_datum(g, op.n, "g")
     grid = TimeGrid.of(grid)
+    scales = power_of_two_scale(f), power_of_two_scale(g)
+    f, g = f / scales[0], g / scales[1]
     norms = op.norm(f), op.norm(g)
     if 0.0 in norms:
         raise NonPositivePairing("<f, e^{-tL} g> vanishes identically")
@@ -190,7 +197,18 @@ def rate_inner(op: OperatorRep, f, g, grid) -> RateEstimate:
                                   np.divide(g, norms[1]))
     return _rate_from_atoms(atoms, SUPPORT_MASS_TOL, grid,
                             NonPositivePairing, "<f, e^{-tL} g>",
-                            log_scale=math.log(norms[0]) + math.log(norms[1]))
+                            log_scale=_log_norm(norms[0], scales[0])
+                            + _log_norm(norms[1], scales[1]))
+
+
+def _log_norm(norm: float, scale: float) -> float:
+    # log(norm * scale) for a power-of-two scale: the log of the product
+    # wherever that is a normal float (so it is log ||f||_m bit for bit),
+    # the sum of the two logs where the product over- or underflows
+    product = norm * scale
+    if np.finfo(float).tiny <= product < math.inf:
+        return math.log(product)
+    return math.log(norm) + math.log(scale)
 
 
 def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
@@ -336,12 +354,22 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
 
     They are bounded by ||f||_m e^{-(E' - E0) t} with E' the bottom of
     the spectral support of (I - P) f, which is what the calling tests
-    assert.  They are summed for f/||f||_m and scaled back; f is read by
-    :func:`~heatlab.operators.checked_datum`.
+    assert.  They are summed for f/||f||_m and scaled back, the norm
+    taken of f divided by a power of two
+    (:func:`~heatlab.operators.power_of_two_scale`) and that power
+    multiplied in last, so ||f||_m may lie beyond the floating range;
+    f is read by :func:`~heatlab.operators.checked_datum`.
+
+    Raises
+    ------
+    NumericsError
+        If a residual itself overflows the floating-point range.
     """
     f = checked_datum(f, op.n, "f")
     grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
+    scale = power_of_two_scale(f)
+    f = f / scale
     norm = op.norm(f)
     coeff = coefficients(sd, np.divide(f, norm or 1.0))
     _, stop = sd.groups[0]
@@ -351,7 +379,13 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
     for j, t in enumerate(grid.times):
         decay = decay_factors(exc_energies, 2.0 * t, sd.E0)
         residuals[j] = np.sqrt(np.sum(exc_coeff ** 2 * decay))
-    return norm * residuals
+    with np.errstate(over="ignore"):
+        residuals = norm * residuals * scale
+    if not np.all(np.isfinite(residuals)):
+        raise NumericsError("a strong-convergence residual "
+                            "||e^{t E0} e^{-tL} f - P f||_m overflows the "
+                            "floating-point range")
+    return residuals
 
 
 def positivity_improving(op: OperatorRep) -> bool:

@@ -41,6 +41,7 @@ __all__ = [
     "decay_factors",
     "kernel_sum",
     "log_sum_exp",
+    "power_of_two_scale",
     "shift_by_potential",
     "eigendecompose",
     "coefficients",
@@ -114,8 +115,21 @@ class OperatorRep:
 
 
 def _m_norm(u, m) -> float:
-    # the one m-norm; math.hypot scales, so no square over- or underflows
-    return math.hypot(*(np.sqrt(m) * np.abs(u)).tolist())
+    # the one m-norm, taken of u / scale with max |u / scale| in [1, 2):
+    # no entry of sqrt(m)|u| overflows, math.hypot scales its squares, and
+    # the product with scale is inf only for a norm beyond the range
+    scale = power_of_two_scale(u)
+    return math.hypot(*(np.sqrt(m) * (np.abs(u) / scale)).tolist()) * scale
+
+
+def power_of_two_scale(u) -> float:
+    """The power of two 2^e with max |u| / 2^e in [1, 2) (1/2 for a zero u).
+
+    Dividing by it is exact short of the subnormal range, so a reading of
+    u / scale scaled back by the same power of two is the reading of u
+    bit for bit, and no entry of u / scale is near the floating limits.
+    """
+    return math.ldexp(0.5, math.frexp(np.max(np.abs(u)))[1])
 
 
 def _gershgorin_lower(S: np.ndarray) -> float:
@@ -228,6 +242,35 @@ class SpectralData:
     m: np.ndarray
     E0: float
     groups: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def _group_index(self) -> tuple[np.ndarray, tuple]:
+        # the start of every group, and (group, start, stop) of the
+        # usually absent groups of three or more members
+        starts, stops = np.array(self.groups).T
+        wide = np.flatnonzero(stops - starts > 2)
+        return starts, tuple((int(k), int(starts[k]), int(stops[k]))
+                             for k in wide)
+
+    def _group_sums(self, values: np.ndarray) -> np.ndarray:
+        # np.sum of values over every group, bit for bit: np.add.reduceat
+        # adds one or two members as np.sum does, once + 0.0 stands in for
+        # np.sum's starting zero (a sum of -0.0 reads 0.0); wider groups
+        # keep np.sum's own pairwise order
+        starts, wide = self._group_index
+        sums = np.add.reduceat(values, starts) + 0.0
+        for k, start, stop in wide:
+            sums[k] = np.sum(values[start:stop])
+        return sums
+
+    @cached_property
+    def _atom_energies(self) -> np.ndarray:
+        # np.mean of every group, read-only: atoms share this one array
+        starts, _ = self._group_index
+        sizes = np.diff(starts, append=len(self.eigenvalues))
+        energies = self._group_sums(self.eigenvalues) / sizes
+        energies.setflags(write=False)
+        return energies
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -353,12 +396,11 @@ class SpectralAtoms:
         """Merge per-eigenvector ``products`` over the eigenvalue groups.
 
         An atom's energy is the mean eigenvalue of its group and its
-        weight the sum of the group's products.
+        weight the sum of the group's products, both as ``np.mean`` and
+        ``np.sum`` give them bit for bit; the energies are one read-only
+        array per decomposition, shared by all its atoms.
         """
-        energies = np.array([np.mean(sd.eigenvalues[a:b])
-                             for a, b in sd.groups])
-        weights = np.array([np.sum(products[a:b]) for a, b in sd.groups])
-        return cls(energies, weights)
+        return cls(sd._atom_energies, sd._group_sums(products))
 
     @classmethod
     def pairing(cls, sd: SpectralData, f, g) -> "SpectralAtoms":
@@ -382,7 +424,7 @@ class SpectralMeasure:
     """Finite atomic measure rho_f with <f, e^{-tL} f> = sum_i w_i e^{-t E_i}.
 
     ``atoms`` are (E_i, w_i) pairs over eigenvalue groups, w_i >= 0 summing
-    to ``total_mass`` = ||f||_m^2 (inf where that square overflows);
+    to ``total_mass`` = ||f||_m^2 (each inf where it overflows);
     ``inf_support`` ignores atoms of relative mass below 1e-12, so it does
     not depend on the scale of f.
     """
@@ -405,12 +447,18 @@ def spectral_measure(sd: SpectralData, f) -> SpectralMeasure:
     f = checked_datum(f, sd.m.size, "f")
     if not f.any():
         raise ZeroVector("the zero vector has no spectral measure")
+    # f / scale has max |entry| in [1, 2), and scale is multiplied back in
+    # last (exactly, short of the floating limits)
+    scale = power_of_two_scale(f)
+    f = f / scale
     norm = _m_norm(f, sd.m)
     unit = SpectralAtoms.grouped(sd, coefficients(sd, f / norm) ** 2)
     supported = unit.supported(SUPPORT_MASS_TOL).energies
     inf_support = np.min(supported) if supported.size else np.inf
+    atoms = SpectralAtoms.grouped(sd, coefficients(sd, f) ** 2)
     with np.errstate(over="ignore"):  # inf masses for f beyond ~1e154
-        atoms = SpectralAtoms.grouped(sd, coefficients(sd, f) ** 2)
+        masses = atoms.weights * scale * scale
+    norm *= scale
     return SpectralMeasure(
-        atoms=tuple(zip(atoms.energies.tolist(), atoms.weights.tolist())),
+        atoms=tuple(zip(atoms.energies.tolist(), masses.tolist())),
         total_mass=norm * norm, inf_support=float(inf_support))

@@ -39,6 +39,7 @@ from .operators import (
     checked_datum,
     checked_potential,
     eigendecompose,
+    power_of_two_scale,
     shift_by_potential,
 )
 from .semigroup import apply as sg_apply
@@ -280,8 +281,9 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
     time the Cauchy-Schwarz prefactor can mask an E that exceeds lambda0
     by an arbitrarily small margin; (iii) compares lambda0 and E
     directly.  f and g are read by
-    :func:`~heatlab.operators.checked_datum` and divided by their
-    m-norms, so no reading depends on their scale.
+    :func:`~heatlab.operators.checked_datum` and divided first by a
+    power of two (:func:`~heatlab.operators.power_of_two_scale`), then
+    by their m-norms, so no reading depends on their scale.
     All three must agree; a disagreement raises EquivalenceViolation
     since on a finite graph they are provably equivalent.  The truncated
     pairings along ``ks`` are additionally required to obey the (ii)
@@ -304,6 +306,7 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
         raise ValidationError(
             "the pairing criterion needs entrywise positive f and g"
         )
+    f, g = f / power_of_two_scale(f), g / power_of_two_scale(g)
     f, g = f / op.norm(f), g / op.norm(g)
     slack = math.log1p(1e-10)
     tol = 1e-10 * (1.0 + abs(E))
@@ -397,7 +400,7 @@ def approximated_solution(op: OperatorRep, V, f, grid, ks
         raise NegativeInitialDatum("initial datum must be non-negative")
     ladder = truncation_ladder(op, values, f, grid, ks)
     full = shift_by_potential(op, values)
-    scale = math.ldexp(0.5, math.frexp(np.max(f))[1])
+    scale = power_of_two_scale(f)
     unit = f / scale
     u = np.array([sg_apply(full, t, unit) for t in grid.times])
     lam = _ground_energy(full)

@@ -587,11 +587,14 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     on.  Each step expands in the stored m-orthonormal eigenbasis.  t,
     V and f are checked by :func:`check_time`,
     :func:`~heatlab.operators.checked_potential` and
-    :func:`~heatlab.operators.checked_datum` before any work.
+    :func:`~heatlab.operators.checked_datum` before any work, and a step
+    count n that is not a Python or numpy integer >= 1 raises
+    ValidationError.
     """
     check_time(t, positive=False)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(
+            f"trotter step count n = {n} is not an integer >= 1")
     V = checked_potential(V, op.n)
     f = checked_datum(f, op.n, "f")
     h = t / n

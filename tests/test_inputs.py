@@ -7,7 +7,8 @@ One sweep over the input rules, each written once in the package:
 * a time is finite and >= 0, or > 0 where the evaluator needs it
   (``semigroup.check_time``);
 * a potential has shape (n,) and finite entries
-  (``operators.checked_potential``).
+  (``operators.checked_potential``);
+* trotter's step count is a Python or numpy integer >= 1.
 
 Each case must raise its rule's error, naming the input, and no
 RuntimeWarning may come out first.
@@ -97,6 +98,9 @@ POTENTIAL_READERS = {
 }
 NAN_POTENTIAL = np.array([np.nan, 0.0, 0.0])
 
+BAD_STEP_COUNTS = {"2.5": 2.5, "nan": np.nan, "inf": np.inf, "0": 0,
+                   "-1": -1, "True": True}
+
 # scalars outside the three rules, each checked by its one reader
 SCALAR_CASES = {
     "resolvent/nan alpha": (lambda: hl.resolvent(OP, np.nan),
@@ -134,6 +138,10 @@ def _cases():
         yield pytest.param(lambda call=call: call(NAN_POTENTIAL),
                            ValidationError, "potential V is not finite",
                            id=f"{reader}/nan potential")
+    for kind, n in BAD_STEP_COUNTS.items():
+        yield pytest.param(lambda n=n: hl.trotter(OP, V, 1.0, n, ONES),
+                           ValidationError, f"step count n = {n} is not",
+                           id=f"trotter/step count {kind}")
     for case, (call, error, match) in SCALAR_CASES.items():
         yield pytest.param(call, error, match, id=case)
 
@@ -142,3 +150,9 @@ def _cases():
 def test_a_bad_input_raises_its_rules_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_trotter_takes_python_and_numpy_integer_step_counts():
+    want = hl.trotter(OP, V, 1.0, 4, ONES)
+    for n in (np.int64(4), np.int32(4), np.uint8(4)):
+        assert hl.trotter(OP, V, 1.0, n, ONES).tobytes() == want.tobytes()

@@ -402,6 +402,53 @@ def test_grouped_atoms_match_loop_reference(rng):
                                                       rel=1e-12)
 
 
+def _loop_atoms(sd, products):
+    """The per-group loop that SpectralAtoms.grouped must match bit for bit."""
+    energies = np.array([np.mean(sd.eigenvalues[a:b]) for a, b in sd.groups])
+    weights = np.array([np.sum(products[a:b]) for a, b in sd.groups])
+    return energies, weights
+
+
+def _assert_atoms_are_the_loops(sd, products):
+    atoms = SpectralAtoms.grouped(sd, products)
+    energies, weights = _loop_atoms(sd, products)
+    assert atoms.energies.tobytes() == energies.tobytes()
+    assert atoms.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("spectrum", ["K12", "K5 joined to K5", "singletons"])
+def test_grouped_atoms_are_the_loops_bit_for_bit(rng, spectrum):
+    g = {"K12": lambda: _complete_graph(12),
+         "K5 joined to K5": lambda: _disjoint_union(_complete_graph(5),
+                                                    _complete_graph(5)),
+         "singletons": lambda: random_graph(rng, n_max=40)}[spectrum]()
+    sd = eigendecompose(assemble(g))
+    sizes = sorted(b - a for a, b in sd.groups)
+    assert sizes == {"K12": [1, 11], "K5 joined to K5": [2, 8],
+                     "singletons": [1] * g.n}[spectrum]
+    # np.sum adds eleven and eight members pairwise, not in sequence; many
+    # draws make a sum in the wrong order show in some last bit
+    for _ in range(20):
+        f = rng.standard_normal(g.n)
+        h = rng.uniform(0.1, 1.0, g.n)
+        _assert_atoms_are_the_loops(sd, coefficients(sd, f)
+                                    * coefficients(sd, h))
+    # signed zeros: np.sum of -0.0 terms is 0.0
+    _assert_atoms_are_the_loops(sd, np.full(g.n, -0.0))
+
+
+def test_grouped_atom_energies_are_one_read_only_array(rng):
+    sd = eigendecompose(assemble(_complete_graph(12)))
+    eigenvalues = sd.eigenvalues.copy()
+    atoms = SpectralAtoms.pairing(sd, rng.uniform(0.1, 1.0, 12),
+                                  rng.uniform(0.1, 1.0, 12))
+    assert atoms.energies is SpectralAtoms.grouped(sd, np.ones(12)).energies
+    with pytest.raises(ValueError, match="read-only"):
+        atoms.energies[0] = -1.0
+    npt.assert_array_equal(sd.eigenvalues, eigenvalues)
+    npt.assert_array_equal(atoms.energies, _loop_atoms(sd, np.ones(12))[0])
+
+
 def test_log_pairing_matches_direct_sum_and_survives_underflow(rng):
     # killing c = 1 puts E0 at 1, so every e^{-tE} underflows at t = 1e4
     op = assemble(_complete_graph(8, c=1.0))

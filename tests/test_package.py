@@ -274,3 +274,49 @@ def test_each_input_rule_has_one_raiser():
                        "datum": ["operators.checked_datum"],
                        "potential": ["operators.checked_potential"]}
     assert readers == ["operators.checked_potential"]
+
+
+def _numpy_calls_per_group(tree) -> list[str]:
+    """``line call`` of each numpy call made once per eigenvalue group.
+
+    That is a call in the body of a ``for`` loop, or in the element or
+    filter of a comprehension, whose iterable reads an attribute named
+    ``groups``.
+    """
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iters, body = [node.iter], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                               ast.DictComp)):
+            iters = [gen.iter for gen in node.generators]
+            body = [getattr(node, part) for part in ("elt", "key", "value")
+                    if hasattr(node, part)]
+            body += [cond for gen in node.generators for cond in gen.ifs]
+        else:
+            continue
+        if not any(isinstance(sub, ast.Attribute) and sub.attr == "groups"
+                   for it in iters for sub in ast.walk(it)):
+            continue
+        hits += [f"{call.lineno} {ast.unparse(call.func)}"
+                 for part in body for call in ast.walk(part)
+                 if isinstance(call, ast.Call)
+                 and ast.unparse(call.func).split(".")[0] in ("np", "numpy")]
+    return sorted(hits, key=lambda hit: int(hit.split()[0]))
+
+
+def test_no_numpy_call_per_eigenvalue_group():
+    # atoms are summed over the groups by array reductions; a numpy call
+    # per group costs milliseconds per estimator call at n in the hundreds
+    probe = ast.parse(
+        "energies = [np.mean(sd.eigenvalues[a:b]) for a, b in sd.groups]\n"
+        "for a, b in self.groups:\n"
+        "    total += np.sum(products[a:b])\n"
+        "ranges = [list(range(a, b)) for a, b in sd.groups]\n"
+        "starts = np.array(sd.groups)\n")
+    assert _numpy_calls_per_group(probe) == ["1 np.mean", "3 np.sum"]
+    offenders = [f"{path.name}:{hit}"
+                 for path in sorted(Path(heatlab.__file__).parent.glob("*.py"))
+                 for hit in _numpy_calls_per_group(
+                     ast.parse(path.read_text(), filename=str(path)))]
+    assert offenders == []

@@ -2,8 +2,10 @@
 
 Each case runs an estimator on s f (and s g) and compares with s = 1.
 The scales reach past the range where a plain sum of squares overflows
-(s = 1e160) or underflows (s = 1e-170); no RuntimeWarning may come out
-on the way.
+(s = 1e160) or underflows (s = 1e-170), and for the estimators that
+divide their data by a power of two first, to the top of the range
+(s = 1e308, and s = 1.5e308, where ||s f||_m itself overflows and m s f
+does too); no RuntimeWarning may come out on the way.
 """
 import math
 
@@ -13,6 +15,7 @@ import pytest
 
 from heatlab import assemble
 from heatlab.asymptotics import TimeGrid, rate_inner, strong_convergence_check
+from heatlab.errors import NumericsError
 from heatlab.operators import eigendecompose, spectral_measure
 from heatlab.perturbation import (
     admissibility_check,
@@ -25,6 +28,8 @@ from heatlab.verify import random_graph, random_vector
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SCALES = (1e-170, 1.0, 1e160)
+# the readers that take f / 2^k with max |f / 2^k| in [1, 2)
+WIDE_SCALES = SCALES + (1e308, 1.5e308)
 GRID = TimeGrid.geometric(t0=0.5, ratio=2.0, count=6)
 
 
@@ -49,7 +54,7 @@ def test_sv_limit_gaps_scale_with_f(case, s):
                         rtol=1e-12)
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", WIDE_SCALES)
 def test_spectral_measure_support_is_scale_free(case, s):
     op, _, f, _, _ = case
     sd = eigendecompose(op)
@@ -60,7 +65,7 @@ def test_spectral_measure_support_is_scale_free(case, s):
             unit, rel=1e-12)
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", WIDE_SCALES)
 def test_admissibility_is_homogeneous_in_f_and_g(case, s):
     op, V, f, g, ks = case
     lam = lambda0(op, V)
@@ -72,7 +77,7 @@ def test_admissibility_is_homogeneous_in_f_and_g(case, s):
         assert scaled.M == pytest.approx(unit.M, abs=1e-12)
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", WIDE_SCALES)
 def test_rate_inner_logs_shift_by_the_scale(case, s):
     op, _, f, g, _ = case
     unit = rate_inner(op, f, g, GRID)
@@ -122,9 +127,18 @@ def test_approximated_solution_of_zero_is_zero(case):
     assert np.all(sol.log_bound_margins == -np.inf)
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", WIDE_SCALES)
 def test_strong_convergence_residuals_scale_with_f(case, s):
     op, _, f, _, _ = case
     unit = strong_convergence_check(op, f, GRID)
     scaled = strong_convergence_check(op, s * f, GRID)
     npt.assert_allclose(scaled / s, unit, rtol=1e-12)
+
+
+def test_strong_convergence_residual_beyond_the_range_raises(case):
+    # ||(I - P) f||_m of this f is about 5e308: the residual at t = 1e-3
+    # cannot be returned, and NumericsError says so instead of an inf
+    op = case[0]
+    signed = 1.7e308 * np.where(np.arange(op.n) % 2, 1.0, -1.0)
+    with pytest.raises(NumericsError, match="residual .* overflows"):
+        strong_convergence_check(op, signed, TimeGrid.of([1e-3, 1.0, 2.0]))
