@@ -18,8 +18,9 @@ underflow.  The headline limits realized below:
 
 The linear-scale sums (kernels, diagonal profiles, residuals) weight each
 atom by :func:`~heatlab.operators.decay_factors`; a factor below the
-normal floating range counts as exactly zero, and such atoms are left out
-of the kernel products altogether.
+normal floating range counts as exactly zero.  Kernel products go
+through :func:`~heatlab.operators.kernel_sum`, which also leaves out the
+atoms whose factor is below sqrt(tiny) times the largest one.
 """
 from __future__ import annotations
 
@@ -298,8 +299,13 @@ def groundstate_limit(op: OperatorRep, grid) -> GroundStateProfile:
     The residuals are required to decay like e^{-(E1-E0) t}: each one is
     checked against 10 * C * e^{-(E1-E0)(t-2)} with the constant C
     calibrated from the kernel functions as e^{2 E0} max_x p_2(x, x).
-    Atoms whose factor e^{-t(E_i - E0)} falls below the normal floating
-    range count as exactly zero (see :func:`heatlab.operators.kernel_sum`).
+    In the diagonal profiles, atoms whose factor e^{-t(E_i - E0)} falls
+    below the normal floating range count as exactly zero.  Each residual
+    is read off :func:`heatlab.operators.kernel_sum` at shift E0, which
+    also leaves out factors below sqrt(tiny), about 1.5e-154 (the largest
+    factor is 1); on the weighted paths and discretized stars measured
+    those atoms changed no residual in its last bit, and without them the
+    products stay out of subnormal arithmetic.
 
     Raises
     ------

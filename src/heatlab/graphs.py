@@ -35,6 +35,7 @@ from .errors import (
     NonSymmetricWeights,
     SelfLoop,
     UnknownVertex,
+    ValidationError,
 )
 
 __all__ = [
@@ -135,6 +136,10 @@ def validate_graph(data: dict) -> WeightedGraph:
     ------
     NonSymmetricWeights, NegativeWeight, NonPositiveMeasure, SelfLoop,
     DuplicateVertexId, DuplicateEdge, EmptyGraph, DanglingEdgeEndpoint
+    ValidationError
+        If an edge is not an object or lacks one of u, v and b; the
+        message names the field and the edge, and the metric-graph format
+        where the edge has its keys i, j, l.
     """
     ids, m, c = _as_vertex_arrays(data.get("vertices", []))
     if not ids:
@@ -148,7 +153,8 @@ def validate_graph(data: dict) -> WeightedGraph:
 
     index = {vid: k for k, vid in enumerate(ids)}
     weight: dict[tuple[int, int], float] = {}
-    for entry in data.get("edges", []):
+    for position, entry in enumerate(data.get("edges", [])):
+        _require_edge_fields(position, entry)
         u, v = str(entry["u"]), str(entry["v"])
         w = float(entry["b"])
         for end in (u, v):
@@ -180,6 +186,23 @@ def validate_graph(data: dict) -> WeightedGraph:
     g.c.setflags(write=False)
     g.row_sums.setflags(write=False)
     return g
+
+
+def _require_edge_fields(position: int, entry) -> None:
+    # a weighted-graph edge names its ends u, v and its weight b; the edges
+    # of a metric graph (i, j, l) are read by the `metric` subcommand
+    if not isinstance(entry, dict):
+        raise ValidationError(f"edge {position} ({entry!r}) is not an "
+                              f"object with fields u, v and b")
+    missing = [key for key in ("u", "v", "b") if key not in entry]
+    if not missing:
+        return
+    message = (f"edge {position} ({entry!r}) has no field "
+               f"{missing[0]!r}; a weighted-graph edge needs u, v and b")
+    if all(key in entry for key in ("i", "j", "l")):
+        message += ("; its keys i, j, l are those of a metric-graph edge, "
+                    "which `heatlab metric` reads")
+    raise ValidationError(message)
 
 
 def build_graph(vertices, edges, m=None, c=None) -> WeightedGraph:

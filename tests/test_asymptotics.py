@@ -22,6 +22,7 @@ from heatlab.operators import (
     coefficients,
     decay_factors,
     eigendecompose,
+    kernel_sum,
     spectral_measure,
 )
 from heatlab.semigroup import apply, heat_kernel, pade13_expm, trotter
@@ -209,6 +210,61 @@ def test_decay_factors_have_no_subnormals(stiff_star_op):
             npt.assert_array_equal(decay[live], raw[live])
     # the grid does cross the subnormal range of plain np.exp
     assert raw_subnormal
+
+
+def _tiny_cut_kernel_sum(sd, t, shift):
+    # every atom whose factor is a normal float, as kernel_sum took them
+    # before it also left out factors below sqrt(tiny) of the largest
+    decay = decay_factors(sd.eigenvalues, t, shift)
+    k = int(np.count_nonzero(decay))
+    live = sd.vectors[:, :k]
+    return (live * decay[:k]) @ live.T
+
+
+def test_groundstate_residuals_leave_out_sub_sqrt_tiny_atoms():
+    rng = np.random.default_rng(23)
+    n = 200
+    w = rng.uniform(0.5, 2.0, n - 1)
+    op = assemble(build_graph(n, [(i, i + 1, float(w[i]))
+                                  for i in range(n - 1)],
+                              m=rng.uniform(0.5, 2.0, n)))
+    sd = eigendecompose(op)
+    grid = TimeGrid.geometric(t0=1.0, ratio=2.0, count=11)
+    assert grid.times[-1] > 1e3
+    tiny = np.finfo(float).tiny
+    # the grid does cross the band of factors in [tiny, sqrt(tiny)) that
+    # kernel_sum now leaves out (the largest factor is 1 at shift E0)
+    in_band = False
+    for t in grid.times:
+        decay = decay_factors(sd.eigenvalues, t, sd.E0)
+        in_band |= bool(np.any((decay >= tiny) & (decay < np.sqrt(tiny))))
+    assert in_band
+    prof = groundstate_limit(op, grid)
+    outer = np.outer(prof.Phi, prof.Phi)
+    want = np.array([np.max(np.abs(_tiny_cut_kernel_sum(sd, t, sd.E0)
+                                   - outer)) for t in grid.times])
+    assert prof.residual_history.tobytes() == want.tobytes()
+
+
+def test_kernel_sum_cut_is_relative_to_the_largest_factor():
+    # with shift 0 and E0 = 2 the largest factor e^{-t E0} is itself far
+    # below 1: at t = 100 the cut at sqrt(tiny) of it drops atoms with
+    # normal factors, at t = 300 it lies below sqrt(tiny), where a cut at
+    # sqrt(tiny) itself would leave no atom at all
+    n = 60
+    op = assemble(build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)],
+                              c=np.full(n, 2.0)))
+    sd = eigendecompose(op)
+    tiny = np.finfo(float).tiny
+    for t, dropped in ((100.0, True), (300.0, False)):
+        decay = decay_factors(sd.eigenvalues, t)
+        band = (decay >= tiny) & (decay < np.sqrt(tiny) * decay[0])
+        assert bool(band.any()) is dropped
+        p = kernel_sum(sd, t)
+        full = (sd.vectors * decay) @ sd.vectors.T
+        npt.assert_allclose(p, full, rtol=0, atol=1e-13 * np.max(full))
+        assert p.tobytes() == _tiny_cut_kernel_sum(sd, t, 0.0).tobytes()
+    assert 0 < decay[0] < np.sqrt(tiny)
 
 
 def test_spectral_sums_match_full_rank_reference(rng, stiff_star_op):

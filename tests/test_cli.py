@@ -279,6 +279,60 @@ def test_small_graph_calls_load_no_scipy(tmp_path, data_dir):
     assert loaded == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["kernel", "--t", "0.7"], ["rate"], ["groundstate"],
+    ["positivity"],
+])
+def test_metric_graph_file_is_named_as_such(tmp_path, data_dir, capsys,
+                                            argv):
+    # star.json is a metric graph (edges i, j, l); the weighted-graph
+    # subcommands name the missing field, the edge, and `heatlab metric`
+    assert main(argv + ["--graph", str(data_dir / "star.json"),
+                        "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and err["exit_code"] == 1
+    for part in ("edge 0", "'u'", "metric-graph", "heatlab metric"):
+        assert part in err["message"]
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([{"u": "a", "v": "b"}], "has no field 'b'"),
+    ({"u": "a", "v": "b", "b": 1.0}, "is not an object"),
+])
+def test_malformed_edge_is_named(tmp_path, capsys, edges, named):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [{"id": "a"}, {"id": "b"}],
+                                "edges": edges}))
+    assert main(["spectrum", "--graph", str(path),
+                 "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "edge 0" in err["message"] and named in err["message"]
+    assert "metric" not in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["positivity"], ["kernel", "--t", "0.7", "--method", "expm"],
+])
+def test_dense_commands_import_no_scipy(tmp_path, data_dir, argv):
+    # a fresh `python -m heatlab.cli` process; -X importtime lists every
+    # module it imports on stderr.  The resolvent inverts its Cholesky
+    # factor in numpy, so these commands never load scipy
+    src = Path(heatlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "heatlab.cli", *argv,
+         "--graph", str(data_dir / "path3.json"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "heatlab.semigroup" in imported
+    assert [name for name in imported
+            if name.split(".")[0] == "scipy"] == []
+
+
 def test_counterexample_rejects_short_tail(tmp_path, capsys):
     assert main(["counterexample", "--N", "40",
                  "--out", str(tmp_path)]) == 1

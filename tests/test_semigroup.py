@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import json
 import math
 import os
@@ -201,6 +203,58 @@ def test_krylov_below_a_negative_lower_bound(rng, t):
     shifted = shift_by_potential(op, rng.uniform(0.0, 3.0, op.n))
     assert shifted.lower_bound < 0
     _assert_krylov_matches_spectral(shifted, t, random_vector(rng, op.n))
+
+
+def test_held_csr_is_read_once_per_operator(single_edge_op):
+    op = single_edge_op
+    assert issparse(op.S_csr) and op.S_csr.format == "csr"
+    assert op.S_csr is op.S_csr
+    npt.assert_array_equal(op.S_csr.toarray(), op.S)
+
+
+def _dense_built_krylov_matrix(op, t):
+    """The shifted Krylov matrix as it was built from the dense S."""
+    gamma, sigma = t / 10, op.lower_bound
+    M = gamma * op.S
+    M[np.diag_indices(op.n)] += 1 - gamma * sigma
+    return scipy.sparse.csc_array(M)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 10.0])
+def test_krylov_matrix_from_the_held_csr_is_the_dense_build(monkeypatch, t,
+                                                            stiff_star_op):
+    ops = [assemble(random_graph(np.random.default_rng(0), n_max=255)),
+           stiff_star_op]
+    splu = scipy.sparse.linalg.splu
+    for op in ops:
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        handed = []
+
+        def recorded(M):
+            handed.append(M)
+            return splu(M)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+        got = apply(op, t, f, KRYLOV), kernel_column(op, t, 3, KRYLOV)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda M: splu(_dense_built_krylov_matrix(op, t)))
+        want = apply(op, t, f, KRYLOV), kernel_column(op, t, 3, KRYLOV)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        ref = _dense_built_krylov_matrix(op, t)
+        assert len(handed) == 2
+        for M in handed:
+            assert M.format == "csc"
+            for part in ("indptr", "indices", "data"):
+                assert getattr(M, part).tobytes() == \
+                    getattr(ref, part).tobytes()
+
+
+def test_krylov_route_does_not_read_the_dense_s():
+    tree = ast.parse(inspect.getsource(semigroup._krylov_apply))
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "op"}
+    assert "S_csr" in reads and "S" not in reads
 
 
 def test_krylov_names_its_step_cap(monkeypatch, fine_star_op):
@@ -820,6 +874,95 @@ def test_resolvent_singular_shift(single_edge_op):
         resolvent(single_edge_op, 0.0)
     with pytest.raises(SingularShift):
         resolvent(single_edge_op, -0.5)
+
+
+def _weighted_path(n, seed, m_spread=0.0):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n - 1)
+    return build_graph(n, [(i, i + 1, float(w[i])) for i in range(n - 1)],
+                       m=10.0 ** rng.uniform(-m_spread, m_spread, n))
+
+
+def _lu_route_resolvent(op, alpha):
+    """The resolvent as np.linalg.inv of the whole Cholesky factor forms it."""
+    C = np.linalg.cholesky(op.S + alpha * np.eye(op.n))
+    C_inv = np.linalg.inv(C)
+    rs = np.sqrt(op.m)
+    return (C_inv.T @ C_inv) * np.outer(1.0 / rs, rs)
+
+
+def _exact_resolvent(g, alpha):
+    """(L + alpha)^{-1} at 50 digits, from the graph's own data."""
+    import mpmath
+    with mpmath.workdps(50):
+        A = mpmath.zeros(g.n, g.n)
+        for i, j, w in g.edges:
+            for x, y in ((i, j), (j, i)):
+                A[x, x] += w
+                A[x, y] -= w
+        for x in range(g.n):
+            A[x, x] += g.c[x]
+            for y in range(g.n):
+                A[x, y] /= mpmath.mpf(float(g.m[x]))
+            A[x, x] += alpha
+        R = A ** -1
+        return np.array([[float(R[x, y]) for y in range(g.n)]
+                         for x in range(g.n)])
+
+
+@pytest.mark.parametrize("graph", [
+    build_graph(40, [(i, i + 1, 1.0) for i in range(39)]),
+    _weighted_path(60, 3, m_spread=2.0),
+])
+def test_resolvent_is_entrywise_accurate(graph):
+    # S + alpha is an M-matrix: its inverse is positive on a connected
+    # graph and formed without cancellation, so every entry, the far
+    # ones near 1e-40 included, carries nearly full relative accuracy
+    R = resolvent(assemble(graph), 1.0)
+    exact = _exact_resolvent(graph, 1.0)
+    assert np.all(R > 0)
+    assert np.max(np.abs(R - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, semigroup._TRIANGULAR_LEAF - 1,
+                               semigroup._TRIANGULAR_LEAF,
+                               semigroup._TRIANGULAR_LEAF + 1,
+                               2 * semigroup._TRIANGULAR_LEAF + 1, 257])
+def test_resolvent_agrees_with_the_lu_route(n):
+    rng = np.random.default_rng(n)
+    edges = [(i, i + 1, float(w)) for i, w in
+             enumerate(rng.uniform(0.5, 2.0, n - 1))]
+    edges += [(i, j, 0.3) for i, j in rng.integers(0, n, (n // 8, 2))
+              if abs(int(i) - int(j)) > 1 and i < j]
+    g = build_graph(n, sorted(set(edges)), m=rng.uniform(0.5, 2.0, n),
+                    c=rng.uniform(0.0, 0.1, n))
+    op = assemble(g)
+    R, want = resolvent(op, 0.5), _lu_route_resolvent(op, 0.5)
+    if n <= semigroup._TRIANGULAR_LEAF:  # the same LAPACK call
+        assert R.tobytes() == want.tobytes()
+    else:
+        npt.assert_allclose(R, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [semigroup._TRIANGULAR_LEAF + 1, 257])
+def test_resolvent_is_exactly_symmetric(n):
+    # m = 1: the resolvent is C^{-T} C^{-1} itself
+    op = assemble(build_graph(n, [(i, i + 1, 1.0 + i % 3)
+                                  for i in range(n - 1)]))
+    R = resolvent(op, 1.0)
+    npt.assert_array_equal(R, R.T)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_resolvent_rejects_a_non_finite_shift(path3, alpha):
+    with pytest.raises(ValidationError, match="not finite"):
+        resolvent(assemble(path3), alpha)
+
+
+def test_resolvent_singular_shift_above_the_leaf():
+    op = assemble(_weighted_path(3 * semigroup._TRIANGULAR_LEAF, 4))
+    with pytest.raises(SingularShift):
+        resolvent(op, -1e-3)
 
 
 def test_trotter_rejects_bad_potential(path3):
