@@ -1,8 +1,8 @@
 """The rescaled kernel collapses onto a product of ground states.
 
-e^{t E0} p_t(x,y) -> Phi(x) Phi(y) at rate e^{-(E1-E0) t}, and the
-profile Phi extracted from the kernel diagonal is the Perron
-eigenvector.  A killing term on one end of the path makes E0 positive
+e^{t E0} p_t(x,y) -> phi0(x) phi0(y) at rate e^{-(E1-E0) t}, and the
+profile Phi extracted from the kernel diagonal converges to the Perron
+eigenvector phi0.  A killing term on one end of the path makes E0 positive
 and bends Phi away from the absorbing vertex.
 """
 import numpy as np
@@ -23,9 +23,9 @@ def main():
 
     grid = TimeGrid.geometric(1.0, 1.5, 14)
     profile = groundstate_limit(op, grid)
-    print(f"\n{'t':>10}  {'max |e^(tE0) p_t - Phi Phi|':>28}")
+    print(f"\n{'t':>10}  {'max |e^(tE0) p_t - phi0 phi0|':>30}")
     for t, r in list(zip(profile.times, profile.residual_history))[::3]:
-        print(f"  {t:10.2f}  {r:28.3e}")
+        print(f"  {t:10.2f}  {r:30.3e}")
 
     print("\nPhi vs Perron eigenvector:")
     for x, a, b in zip(g.vertices, profile.Phi, sd.vectors[:, 0]):

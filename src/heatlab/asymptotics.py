@@ -11,16 +11,18 @@ underflow.  The headline limits realized below:
 
 * -log <f, e^{-tL} g> / t converges to the bottom of the joint spectral
   support; for positive f, g on a connected graph that bottom is E0.
-* e^{t E0} p_t(x, y) converges to Phi(x) Phi(y) with Phi the normalized
-  positive ground state, at rate e^{-(E1 - E0) t}.
+* e^{t E0} p_t(x, y) converges to phi0(x) phi0(y) with phi0 the
+  normalized positive ground state, at rate e^{-(E1 - E0) t}; the
+  diagonal profile Phi = (e^{t E0} p_t(x, x))^{1/2} converges to phi0.
 * e^{-tL} is entrywise positive for some (all) t > 0 exactly when the
   graph is connected.
 
-The linear-scale sums (kernels, diagonal profiles, residuals) weight each
-atom by :func:`~heatlab.operators.decay_factors`; a factor below the
-normal floating range counts as exactly zero.  Kernel products go
-through :func:`~heatlab.operators.kernel_sum`, which also leaves out the
-atoms whose factor is below sqrt(tiny) times the largest one.
+The linear-scale sums (diagonal profiles, residuals) weight each atom by
+:func:`~heatlab.operators.decay_factors`; a factor below the normal
+floating range counts as exactly zero.  No self-check here forms an
+n x n kernel: the ground-state residuals are sums over the diagonal of
+the excited remainder, O(n k) per time, and the factorization identity
+reads its two kernel functions as two columns of the held e^{-S}.
 """
 from __future__ import annotations
 
@@ -47,10 +49,10 @@ from .operators import (
     coefficients,
     decay_factors,
     eigendecompose,
-    kernel_sum,
     power_of_two_scale,
 )
-from .semigroup import SCALING_SQUARING, heat_kernel, resolvent
+from .semigroup import (SCALING_SQUARING, heat_kernel, kernel_column,
+                        resolvent)
 
 __all__ = [
     "TimeGrid",
@@ -215,24 +217,24 @@ def _log_norm(norm: float, scale: float) -> float:
 def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
     """|log| defects of p_{t+2}(x,y) = <g_x, e^{-tL} g_y>_m per grid time.
 
-    The kernel functions g_x = p_1(x, .) are produced by the
+    The kernel functions g_x = p_1(., x) are produced by the
     scaling-squaring evaluator while the left-hand side comes from the
     spectral expansion, so the identity genuinely ties two independent
-    paths together.  That evaluator computes e^{-S} once per operator and
-    reuses it, so repeated calls on one operator share a single
-    exponential; other times are not cached (see
-    :func:`~heatlab.semigroup.heat_kernel`).
+    paths together.  Each is one :func:`~heatlab.semigroup.kernel_column`,
+    a matrix-vector product with the e^{-S} that evaluator computes once
+    per operator and keeps, so no n x n kernel is formed.
     """
     grid = TimeGrid.of(grid)
     sd = eigendecompose(op)
     ix = op.graph.vertex_index(x)
     iy = op.graph.vertex_index(y)
-    ker = heat_kernel(op, 1.0, SCALING_SQUARING)
-    rhs_atoms = SpectralAtoms.pairing(sd, ker.p[ix], ker.p[iy])
+    g_x = kernel_column(op, 1.0, ix, SCALING_SQUARING)
+    g_y = kernel_column(op, 1.0, iy, SCALING_SQUARING)
+    rhs_atoms = SpectralAtoms.pairing(sd, g_x, g_y)
     lhs_atoms = SpectralAtoms.grouped(sd, sd.vectors[ix] * sd.vectors[iy])
     # both sides carry the same atoms (weight_rhs = e^{-2E} weight_lhs),
     # so one noise mask keeps the two sums comparable at every t
-    scale = op.norm(ker.p[ix]) * op.norm(ker.p[iy])
+    scale = op.norm(g_x) * op.norm(g_y)
     keep = np.abs(rhs_atoms.weights) > SUPPORT_MASS_TOL * scale
     if not keep.any():
         raise ZeroKernelEntry(
@@ -283,7 +285,8 @@ class GroundStateProfile:
     connected graph it is entrywise positive with ||Phi||_m = 1 up to
     the leftover excited mass e^{-(E1-E0) t}.  ``Phi_t_history`` stacks
     the same quantity for every grid time, ``residual_history`` the
-    factorization residuals max_{x,y} |e^{t E0} p_t(x,y) - Phi(x)Phi(y)|.
+    distances max_{x,y} |e^{t E0} p_t(x,y) - phi0(x) phi0(y)| from the
+    ground-state projection kernel, phi0 the normalized ground state.
     """
 
     times: np.ndarray
@@ -296,16 +299,19 @@ class GroundStateProfile:
 def groundstate_limit(op: OperatorRep, grid) -> GroundStateProfile:
     """Ground-state profile and factorization residuals along the grid.
 
-    The residuals are required to decay like e^{-(E1-E0) t}: each one is
-    checked against 10 * C * e^{-(E1-E0)(t-2)} with the constant C
-    calibrated from the kernel functions as e^{2 E0} max_x p_2(x, x).
-    In the diagonal profiles, atoms whose factor e^{-t(E_i - E0)} falls
-    below the normal floating range count as exactly zero.  Each residual
-    is read off :func:`heatlab.operators.kernel_sum` at shift E0, which
-    also leaves out factors below sqrt(tiny), about 1.5e-154 (the largest
-    factor is 1); on the weighted paths and discretized stars measured
-    those atoms changed no residual in its last bit, and without them the
-    products stay out of subnormal arithmetic.
+    Each residual is the sup-norm distance of e^{t E0} p_t from the
+    ground-state projection kernel phi0(x) phi0(y).  The remainder
+    sum_{i excited} phi_i(x) phi_i(y) e^{-t(E_i - E0)} is positive
+    semidefinite, so its largest entry lies on its diagonal: the
+    residual is max_x sum_{i excited} phi_i(x)^2 e^{-t(E_i - E0)}, a sum
+    of non-negative terms at O(n k) per time with no cancellation, which
+    stays resolved long after it falls below the rounding of an O(1)
+    kernel entry.  The residuals are required to decay like
+    e^{-(E1-E0) t}: each one is checked against
+    10 * C * e^{-(E1-E0)(t-2)} with the constant C calibrated from the
+    kernel functions as e^{2 E0} max_x p_2(x, x).  In the diagonal
+    profiles and the residuals, atoms whose factor e^{-t(E_i - E0)} falls
+    below the normal floating range count as exactly zero.
 
     Raises
     ------
@@ -322,17 +328,16 @@ def groundstate_limit(op: OperatorRep, grid) -> GroundStateProfile:
         gap = float(sd.eigenvalues[1] - sd.eigenvalues[0])
         if gap <= 1e-8 * (1.0 + abs(sd.E0)):
             raise NoSpectralGap(f"E1 - E0 = {gap:.2e} is below resolution")
-    diag_profiles = []
+    _, stop = sd.groups[0]
     squares = sd.vectors ** 2
+    diag_profiles, residuals = [], []
     for t in grid.times:
         decay = decay_factors(sd.eigenvalues, t, sd.E0)
         diag_profiles.append(np.sqrt(squares @ decay))
+        residuals.append(np.max(squares[:, stop:] @ decay[stop:]))
     history = np.array(diag_profiles)
     Phi = history[-1]
-    outer = np.outer(Phi, Phi)
-    residuals = np.array([
-        np.max(np.abs(kernel_sum(sd, t, sd.E0) - outer)) for t in grid.times
-    ])
+    residuals = np.array(residuals)
     if op.n > 1:
         # decay envelope, constant calibrated from the kernel functions g_x
         p2_diag = squares @ decay_factors(sd.eigenvalues, 2.0, sd.E0)

@@ -77,7 +77,8 @@ differenced = difference quotient (nan in the first row); residual =
 groundstate.json: {"E0": num, "spectral_gap": num, "eigenvalue_detected":
   bool, "Phi": {id: num}}   (Phi = limit of sqrt(e^{t E0} p_t(x,x)))
 groundstate.csv columns: t, max_residual  -- sup-norm distance of the
-rescaled kernel from the product Phi(x)Phi(y) per grid time.""",
+rescaled kernel e^{t E0} p_t(x,y) from the ground-state projection
+kernel phi0(x)phi0(y) per grid time.""",
     "positivity": """\
 positivity.json: {"improving": bool, "connected": bool,
   "components": int}  -- improving must equal connected; a mismatch

@@ -106,7 +106,8 @@ def _as_vertex_arrays(vertex_entries) -> tuple[tuple[str, ...], np.ndarray, np.n
     seen = set()
     m = []
     c = []
-    for entry in vertex_entries:
+    for position, entry in enumerate(vertex_entries):
+        _require_vertex_id(position, entry)
         vid = str(entry["id"])
         if vid in seen:
             raise DuplicateVertexId(f"vertex id {vid!r} appears twice")
@@ -137,8 +138,9 @@ def validate_graph(data: dict) -> WeightedGraph:
     NonSymmetricWeights, NegativeWeight, NonPositiveMeasure, SelfLoop,
     DuplicateVertexId, DuplicateEdge, EmptyGraph, DanglingEdgeEndpoint
     ValidationError
-        If an edge is not an object or lacks one of u, v and b; the
-        message names the field and the edge, and the metric-graph format
+        If a vertex is not an object or lacks its id, or an edge is not an
+        object or lacks one of u, v and b; the message names the field and
+        the vertex or edge by its position, and the metric-graph format
         where the edge has its keys i, j, l.
     """
     ids, m, c = _as_vertex_arrays(data.get("vertices", []))
@@ -186,6 +188,16 @@ def validate_graph(data: dict) -> WeightedGraph:
     g.c.setflags(write=False)
     g.row_sums.setflags(write=False)
     return g
+
+
+def _require_vertex_id(position: int, entry) -> None:
+    # a vertex names itself by its id; m and c have defaults
+    if not isinstance(entry, dict):
+        raise ValidationError(f"vertex {position} ({entry!r}) is not an "
+                              f"object with a field id")
+    if "id" not in entry:
+        raise ValidationError(f"vertex {position} ({entry!r}) has no field "
+                              f"'id'; a vertex needs an id")
 
 
 def _require_edge_fields(position: int, entry) -> None:

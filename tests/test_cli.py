@@ -311,6 +311,21 @@ def test_malformed_edge_is_named(tmp_path, capsys, edges, named):
     assert "metric" not in err["message"]
 
 
+@pytest.mark.parametrize("vertices, named", [
+    ([{"id": "a"}, {"m": 2.0}], "vertex 1 ({'m': 2.0}) has no field 'id'"),
+    ([{"id": "a"}, "b"], "vertex 1 ('b') is not an object"),
+])
+def test_malformed_vertex_is_named(tmp_path, capsys, vertices, named):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": vertices,
+                                "edges": [{"u": "a", "v": "b", "b": 1.0}]}))
+    assert main(["spectrum", "--graph", str(path),
+                 "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and err["exit_code"] == 1
+    assert named in err["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["positivity"], ["kernel", "--t", "0.7", "--method", "expm"],
 ])

@@ -320,3 +320,19 @@ def test_no_numpy_call_per_eigenvalue_group():
                  for hit in _numpy_calls_per_group(
                      ast.parse(path.read_text(), filename=str(path)))]
     assert offenders == []
+
+
+def test_self_checks_form_no_kernel_matrix():
+    # the ground-state residuals are read off the excited diagonal and the
+    # factorization identity reads two kernel columns: neither check
+    # builds an n x n kernel
+    path = Path(heatlab.__file__).parent / "asymptotics.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checks = {"groundstate_limit", "kernel_factorization_defects"}
+    calls = {fn.name: {ast.unparse(node.func).split(".")[-1]
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)}
+             for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name in checks}
+    assert calls.keys() == checks
+    assert {name: sorted(found & {"kernel_sum", "heat_kernel"})
+            for name, found in calls.items()} == {name: [] for name in checks}

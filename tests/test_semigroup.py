@@ -257,6 +257,47 @@ def test_krylov_route_does_not_read_the_dense_s():
     assert "S_csr" in reads and "S" not in reads
 
 
+def test_lanczos_eigensolver_is_eigh_tridiagonal_bit_for_bit():
+    # the Krylov steps call LAPACK ?stevd directly, as eigh_tridiagonal's
+    # default driver does; eigenvalues and eigenvectors keep every bit
+    rng = np.random.default_rng(24)
+    stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (np.empty(0),))
+    for k in range(1, 61):
+        for scale in (1e-3, 1.0, 1e4):
+            d = scale * rng.standard_normal(k)
+            e = scale * rng.uniform(0.0, 1.0, k - 1)
+            got = semigroup._tridiagonal_eigh(stevd, d, e)
+            want = scipy.linalg.eigh_tridiagonal(d, e)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
+
+
+def test_lanczos_eigensolver_raises_on_lapack_failure():
+    def failed(d, e):
+        return d.copy(), np.eye(len(d)), 2
+
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        semigroup._tridiagonal_eigh(failed, np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize("t", [1.0, 100.0])
+def test_krylov_apply_is_unchanged_by_the_direct_eigensolver(monkeypatch, t,
+                                                              stiff_star_op):
+    ops = [assemble(build_graph(300, [(i, i + 1, 1.0 + (i % 3))
+                                      for i in range(299)])),
+           stiff_star_op]
+    for op in ops:
+        f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
+        got = apply(op, t, f, KRYLOV)
+        with monkeypatch.context() as patch:
+            patch.setattr(semigroup, "_tridiagonal_eigh",
+                          lambda stevd, d, e: scipy.linalg.eigh_tridiagonal(
+                              d, e))
+            want = apply(op, t, f, KRYLOV)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_krylov_names_its_step_cap(monkeypatch, fine_star_op):
     monkeypatch.setattr(semigroup, "_KRYLOV_DIM", 4)
     f = np.random.default_rng(6).uniform(0.1, 1.0, fine_star_op.n)
