@@ -130,10 +130,10 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _require_graph(args) -> WeightedGraph:
+def _require_graph(args, load=load_graph):
     if args.graph is None:
         raise ValidationError("--graph is required")
-    return load_graph(args.graph)
+    return load(args.graph)
 
 
 def _grid(args) -> TimeGrid:
@@ -364,9 +364,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    if args.graph is None:
-        raise ValidationError("--graph is required")
-    mg = load_metric_graph(args.graph)
+    mg = _require_graph(args, load_metric_graph)
     if args.mesh is None:
         raise ValidationError("--mesh is required")
     g = discretize(mg, args.mesh)
@@ -411,34 +409,36 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="heatlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def artifacts(p):
+    def command(name, handler):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", type=Path, default=Path("."),
                        help="artifact directory (default: .)")
         p.add_argument("--schema", action="store_true",
                        help="print artifact schema and exit")
+        return p
 
     def common(p, grid=True):
         p.add_argument("--graph", help="input graph JSON")
-        artifacts(p)
         if grid:
             p.add_argument("--t0", type=float, default=1.0)
             p.add_argument("--ratio", type=float, default=1.5)
             p.add_argument("--count", type=int, default=20)
 
-    common(sub.add_parser("spectrum"), grid=False)
-    p = sub.add_parser("kernel")
+    common(command("spectrum", cmd_spectrum), grid=False)
+    p = command("kernel", cmd_kernel)
     common(p, grid=False)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--method", choices=sorted(_METHODS), default="spectral")
-    p = sub.add_parser("rate")
+    p = command("rate", cmd_rate)
     common(p)
     p.add_argument("--f", default="ones")
     p.add_argument("--g", default="ones")
     p.add_argument("--x", default=None, help="kernel mode: row vertex")
     p.add_argument("--y", default=None, help="kernel mode: column vertex")
-    common(sub.add_parser("groundstate"))
-    common(sub.add_parser("positivity"), grid=False)
-    p = sub.add_parser("perturb")
+    common(command("groundstate", cmd_groundstate))
+    common(command("positivity", cmd_positivity), grid=False)
+    p = command("perturb", cmd_perturb)
     common(p)
     p.add_argument("--potential", help="JSON {vertex id: V}")
     p.add_argument("--E", type=float, default=None,
@@ -446,44 +446,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--f", default="ones")
     p.add_argument("--ks", default="1,2,4,8,16",
                    help="comma-separated truncation levels")
-    p = sub.add_parser("solve")
+    p = command("solve", cmd_solve)
     common(p)
     # trajectories are linear-scale; keep the default horizon modest so
     # e^{-lambda0 t} stays in floating range for typical potentials
     p.set_defaults(t0=0.25, count=10)
     p.add_argument("--potential", help="JSON {vertex id: V}")
     p.add_argument("--f", default="ones")
-    p = sub.add_parser("counterexample")
-    artifacts(p)
+    p = command("counterexample", cmd_counterexample)
     p.add_argument("--mu", type=float, default=0.25)
     p.add_argument("--lambda", dest="lam", type=float, default=0.75)
     p.add_argument("--lambda2", type=float, default=None)
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--t-max", dest="t_max", type=float, default=60.0)
-    p = sub.add_parser("metric")
+    p = command("metric", cmd_metric)
     common(p, grid=False)
     p.add_argument("--mesh", type=float, default=None)
     p.add_argument("--then", nargs=argparse.REMAINDER, default=None,
                    help="subcommand to run on the discretized graph")
-    p = sub.add_parser("verify")
-    artifacts(p)
+    p = command("verify", cmd_verify)
     p.add_argument("--seed", type=int, default=0,
                    help="seed (default: 0)")
     return parser
-
-
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "kernel": cmd_kernel,
-    "rate": cmd_rate,
-    "groundstate": cmd_groundstate,
-    "positivity": cmd_positivity,
-    "perturb": cmd_perturb,
-    "solve": cmd_solve,
-    "counterexample": cmd_counterexample,
-    "metric": cmd_metric,
-    "verify": cmd_verify,
-}
 
 
 def _dispatch(argv) -> int:
@@ -492,7 +476,7 @@ def _dispatch(argv) -> int:
         print(_SCHEMAS[args.command])
         return 0
     args.out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[args.command](args)
+    return args.handler(args)
 
 
 def _emit_error(exc: BaseException, code: int) -> int:
@@ -511,8 +495,7 @@ def main(argv=None) -> int:
         return _emit_error(exc, 3)
     except NumericsError as exc:
         return _emit_error(exc, 2)
-    except (ValidationError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError) as exc:
         return _emit_error(exc, 1)
 
 

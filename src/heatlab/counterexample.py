@@ -34,7 +34,9 @@ from .errors import (
     NonPositivePairing,
     ResonantParameters,
     TruncationInsufficient,
+    ValidationError,
 )
+from .operators import DENSE_LIMIT
 from .semigroup import check_time, pade13_expm
 from .asymptotics import RateEstimate, TimeGrid
 
@@ -79,12 +81,18 @@ def shift_model(mu: float, N: int = 200) -> ShiftModel:
 
     Raises
     ------
+    ValidationError
+        If N is not an integer from 1 to the dense limit ``DENSE_LIMIT``.
     TruncationInsufficient
         If mu^{N+1}/(1-mu) > 1e-14 -- large mu demands a larger N.
     """
     mu = float(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
+    if (isinstance(N, bool) or not isinstance(N, (int, np.integer))
+            or not 1 <= N <= DENSE_LIMIT):
+        raise ValidationError(f"truncation size N = {N} is not an integer "
+                              f"from 1 to {DENSE_LIMIT}")
     if _tail(mu, N) > _TAIL_TOL:
         raise TruncationInsufficient(
             f"y_mu tail {_tail(mu, N):.3e} exceeds {_TAIL_TOL} at N = {N}"

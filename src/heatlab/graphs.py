@@ -40,6 +40,7 @@ from .errors import (
 
 __all__ = [
     "WeightedGraph",
+    "read_section",
     "validate_graph",
     "build_graph",
     "graph_to_dict",
@@ -101,51 +102,94 @@ class WeightedGraph:
         return deg
 
 
-def _as_vertex_arrays(vertex_entries) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    ids: list[str] = []
-    seen = set()
-    m = []
-    c = []
-    for position, entry in enumerate(vertex_entries):
-        _require_vertex_id(position, entry)
-        vid = str(entry["id"])
-        if vid in seen:
-            raise DuplicateVertexId(f"vertex id {vid!r} appears twice")
-        seen.add(vid)
-        ids.append(vid)
-        m.append(float(entry.get("m", 1.0)))
-        c.append(float(entry.get("c", 0.0)))
-    return tuple(ids), np.asarray(m), np.asarray(c)
+# by reader, the edge keys of the other graph format and a note naming it
+_OTHER_FORMAT = {
+    "weighted-graph": ("ijl", "; its keys i, j, l are those of a metric-graph"
+                              " edge, which `heatlab metric` reads"),
+    "metric-graph": ("uvb", "; its keys u, v, b are those of a weighted-graph"
+                            " edge, which every other graph subcommand reads"),
+}
+_ENTRY_NOUNS = {"vertices": "vertex", "edges": "edge"}
+
+
+def read_section(data, section: str | None, fields: dict,
+                 file: str) -> list[list]:
+    """The fields of every entry of ``data[section]``, one list per field.
+
+    The one reader of the input files: a weighted graph, a metric graph,
+    and a potential, whose whole document is one entry (``section=None``).
+    ``fields`` maps a field to its default, or to ``str`` or ``float`` if
+    it is required.  A missing section is empty.  A break of the record
+    rule raises ValidationError naming the entry's position and the field;
+    a repeated id, DuplicateVertexId or DuplicateEdge.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"the {file} document is a "
+                              f"{type(data).__name__}, not an object")
+    entries = [data] if section is None else data.get(section, [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"{_ENTRY_NOUNS[section]} 0 is not an object "
+                              f"in a list: {file} {section!r} is {entries!r}")
+    # a type marks a required field and reads it; a default, its own type
+    spec = [(name, default, default if isinstance(default, type)
+             else type(default)) for name, default in fields.items()]
+    columns = [[] for _ in spec]
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{_entry(section, position, entry, file)} "
+                                  f"is not an object")
+        for (name, default, read), column in zip(spec, columns):
+            if read is default and name not in entry:
+                keys, note = _OTHER_FORMAT.get(file, ("", ""))
+                if not all(key in entry for key in keys):
+                    note = ""
+                raise ValidationError(
+                    f"{_entry(section, position, entry, file)} has no field "
+                    f"{name!r}{note}")
+            value = entry.get(name, default)
+            try:
+                column.append(read(value))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{_entry(section, position, entry, file)} has field "
+                    f"{name!r} = {value!r}, which is not a number") from None
+    ids = columns[list(fields).index("id")] if "id" in fields else []
+    first: dict[str, int] = {}
+    for position, eid in enumerate(ids):
+        if first.setdefault(eid, position) != position:
+            noun = _ENTRY_NOUNS[section]
+            error = DuplicateEdge if noun == "edge" else DuplicateVertexId
+            raise error(f"{noun} {position} has the id {eid!r} of "
+                        f"{noun} {first[eid]}")
+    return columns
+
+
+def _entry(section: str | None, position: int, entry, file: str) -> str:
+    # an entry as messages name it; a potential is its whole document
+    return (f"the {file}" if section is None
+            else f"{_ENTRY_NOUNS[section]} {position} ({entry!r})")
 
 
 def validate_graph(data: dict) -> WeightedGraph:
     """Validate a raw graph description and freeze it.
 
-    Parameters
-    ----------
-    data : dict
-        ``{"vertices": [{"id", "m", "c"}, ...], "edges": [{"u", "v", "b"}, ...]}``.
-        ``m`` defaults to 1, ``c`` to 0.  Each undirected edge must be listed
-        once; listing both orientations with different weights is rejected as
-        asymmetry, with equal weights as a duplicate.
-
-    Returns
-    -------
-    WeightedGraph
+    ``data`` is ``{"vertices": [{"id", "m", "c"}, ...], "edges": [{"u",
+    "v", "b"}, ...]}``, read by :func:`read_section`; ``m`` defaults to 1,
+    ``c`` to 0.  Each undirected edge must be listed once; listing both
+    orientations with different weights is rejected as asymmetry, with
+    equal weights as a duplicate.
 
     Raises
     ------
-    NonSymmetricWeights, NegativeWeight, NonPositiveMeasure, SelfLoop,
-    DuplicateVertexId, DuplicateEdge, EmptyGraph, DanglingEdgeEndpoint
-    ValidationError
-        If a vertex is not an object or lacks its id, or an edge is not an
-        object or lacks one of u, v and b; the message names the field and
-        the vertex or edge by its position, and the metric-graph format
-        where the edge has its keys i, j, l.
+    ValidationError, NonSymmetricWeights, NegativeWeight,
+    NonPositiveMeasure, SelfLoop, DuplicateVertexId, DuplicateEdge,
+    EmptyGraph, DanglingEdgeEndpoint
     """
-    ids, m, c = _as_vertex_arrays(data.get("vertices", []))
+    ids, m, c = read_section(data, "vertices", {"id": str, "m": 1.0, "c": 0.0},
+                             "weighted-graph")
     if not ids:
         raise EmptyGraph("graph needs at least one vertex")
+    m, c = np.asarray(m), np.asarray(c)
     if np.any(m <= 0) or not np.all(np.isfinite(m)):
         bad = ids[int(np.argmin(m))]
         raise NonPositiveMeasure(f"m({bad}) must be positive and finite")
@@ -155,10 +199,9 @@ def validate_graph(data: dict) -> WeightedGraph:
 
     index = {vid: k for k, vid in enumerate(ids)}
     weight: dict[tuple[int, int], float] = {}
-    for position, entry in enumerate(data.get("edges", [])):
-        _require_edge_fields(position, entry)
-        u, v = str(entry["u"]), str(entry["v"])
-        w = float(entry["b"])
+    columns = read_section(data, "edges", {"u": str, "v": str, "b": float},
+                           "weighted-graph")
+    for u, v, w in zip(*columns):
         for end in (u, v):
             if end not in index:
                 raise DanglingEdgeEndpoint(f"edge endpoint {end!r} is not a vertex")
@@ -184,37 +227,9 @@ def validate_graph(data: dict) -> WeightedGraph:
     g = WeightedGraph(tuple(ids), m, c, edges,
                       row_sums=np.zeros(len(ids)), index=index)
     object.__setattr__(g, "row_sums", g.recompute_row_sums())
-    g.m.setflags(write=False)
-    g.c.setflags(write=False)
-    g.row_sums.setflags(write=False)
+    for frozen in (g.m, g.c, g.row_sums):
+        frozen.setflags(write=False)
     return g
-
-
-def _require_vertex_id(position: int, entry) -> None:
-    # a vertex names itself by its id; m and c have defaults
-    if not isinstance(entry, dict):
-        raise ValidationError(f"vertex {position} ({entry!r}) is not an "
-                              f"object with a field id")
-    if "id" not in entry:
-        raise ValidationError(f"vertex {position} ({entry!r}) has no field "
-                              f"'id'; a vertex needs an id")
-
-
-def _require_edge_fields(position: int, entry) -> None:
-    # a weighted-graph edge names its ends u, v and its weight b; the edges
-    # of a metric graph (i, j, l) are read by the `metric` subcommand
-    if not isinstance(entry, dict):
-        raise ValidationError(f"edge {position} ({entry!r}) is not an "
-                              f"object with fields u, v and b")
-    missing = [key for key in ("u", "v", "b") if key not in entry]
-    if not missing:
-        return
-    message = (f"edge {position} ({entry!r}) has no field "
-               f"{missing[0]!r}; a weighted-graph edge needs u, v and b")
-    if all(key in entry for key in ("i", "j", "l")):
-        message += ("; its keys i, j, l are those of a metric-graph edge, "
-                    "which `heatlab metric` reads")
-    raise ValidationError(message)
 
 
 def build_graph(vertices, edges, m=None, c=None) -> WeightedGraph:

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 
 from .errors import (
     DanglingEdgeEndpoint,
-    DuplicateEdge,
-    DuplicateVertexId,
     IsolatedVertex,
     MeshTooCoarse,
     NonPositiveLength,
     ValidationError,
 )
-from .graphs import WeightedGraph, build_graph, restrict
+from .graphs import WeightedGraph, build_graph, read_section, restrict
 
 __all__ = [
     "MetricGraph",
@@ -72,6 +70,9 @@ def validate_metric_graph(desc: dict) -> MetricGraph:
 
     Raises
     ------
+    ValidationError, DuplicateVertexId, DuplicateEdge
+        If ``desc`` breaks :func:`~heatlab.graphs.read_section`'s record
+        rule, names an unknown boundary condition or has no edge.
     NonPositiveLength
         For l <= 0 and for non-finite l; infinite edges must be
         truncated by the caller (mark the far end dirichlet).
@@ -80,42 +81,29 @@ def validate_metric_graph(desc: dict) -> MetricGraph:
     IsolatedVertex
         If a declared vertex meets no edge.
     """
-    vertices: list[str] = []
-    bcs: list[str] = []
-    for v in desc.get("vertices", []):
-        vid = str(v["id"])
-        if vid in vertices:
-            raise DuplicateVertexId(f"vertex {vid!r} declared twice")
-        bc = str(v.get("bc", "kirchhoff"))
+    vertices, bcs = read_section(
+        desc, "vertices", {"id": str, "bc": "kirchhoff"}, "metric-graph")
+    for vid, bc in zip(vertices, bcs):
         if bc not in _BOUNDARY_CONDITIONS:
             raise ValidationError(
                 f"vertex {vid!r} has unknown boundary condition {bc!r}"
             )
-        vertices.append(vid)
-        bcs.append(bc)
-    edges: list[tuple[str, str, str, float]] = []
-    edge_ids: set[str] = set()
-    for e in desc.get("edges", []):
-        eid = str(e["id"])
-        if eid in edge_ids:
-            raise DuplicateEdge(f"edge id {eid!r} declared twice")
-        edge_ids.add(eid)
-        i, j = str(e["i"]), str(e["j"])
+    edges = tuple(zip(*read_section(
+        desc, "edges", {"id": str, "i": str, "j": str, "l": float},
+        "metric-graph")))
+    for eid, i, j, length in edges:
         for endpoint in (i, j):
             if endpoint not in vertices:
                 raise DanglingEdgeEndpoint(
                     f"edge {eid!r} references undeclared vertex {endpoint!r}"
                 )
-        length = float(e["l"])
         if not length > 0 or length == float("inf"):
             raise NonPositiveLength(
                 f"edge {eid!r} must have finite positive length, got {length}"
             )
-        edges.append((eid, i, j, length))
     if not edges:
         raise ValidationError("metric graph needs at least one edge")
-    mg = MetricGraph(vertices=tuple(vertices), bc=tuple(bcs),
-                     edges=tuple(edges))
+    mg = MetricGraph(vertices=tuple(vertices), bc=tuple(bcs), edges=edges)
     for v in vertices:
         if mg.degree(v) == 0:
             raise IsolatedVertex(f"vertex {v!r} meets no edge")

@@ -322,8 +322,8 @@ def decay_factors(eigenvalues, t: float, shift: float = 0.0) -> np.ndarray:
     return decay
 
 
-def kernel_sum(sd: SpectralData, t: float, shift: float = 0.0) -> np.ndarray:
-    """sum_i phi_i phi_i^T e^{-t (E_i - shift)} as an n x n matrix.
+def kernel_sum(sd: SpectralData, t: float) -> np.ndarray:
+    """The heat kernel p_t = sum_i phi_i phi_i^T e^{-t E_i}, n x n.
 
     The one home of the atom cut.  Only the atoms whose
     :func:`decay_factors` factor is nonzero (at least the smallest normal
@@ -331,11 +331,10 @@ def kernel_sum(sd: SpectralData, t: float, shift: float = 0.0) -> np.ndarray:
     factor enter, so the product is rank k with k the length of that
     prefix.  A dropped atom changes no entry by more than max|phi|^2
     times that bound, some 140 orders below the rounding of the largest
-    term.  Products of its scaled column phi_i e^{-t (E_i - shift)} with
-    phi_i are what ran in subnormal arithmetic, several times slower than
-    the rest.  With shift 0 this is the heat kernel p_t.
+    term.  Products of its scaled column phi_i e^{-t E_i} with phi_i are
+    what ran in subnormal arithmetic, several times slower than the rest.
     """
-    decay = decay_factors(sd.eigenvalues, t, shift)
+    decay = decay_factors(sd.eigenvalues, t)
     k = int(np.count_nonzero(decay >= max(_ATOM_CUT * np.max(decay),
                                           np.finfo(float).tiny)))
     live = sd.vectors[:, :k]

@@ -10,8 +10,8 @@ V ^ k = min(V, k):
   exact once k >= max V) to S_V(t), the minimal Schroedinger semigroup.
 * A bound S_V(t) <= e^{-Et} holds iff every truncated pairing satisfies
   <f, e^{-t(L-V^k)} g> <= ||f|| ||g|| e^{-Et} iff the variational ground
-  energy lambda0(L, V) is >= E.  :func:`admissibility_check` evaluates
-  all three readings independently and insists they agree.
+  energy lambda0(L, V) is >= E.  :func:`admissibility_check` reads the
+  first as the third (lambda0 >= E) and checks the second against it.
 * Exhaustion sequences of growing graphs can push lambda0 to -infinity;
   :func:`exhaustion_divergence_probe` flags that divergence.
 """
@@ -28,9 +28,10 @@ from .errors import (
     NegativeInitialDatum,
     NegativeWeight,
     NumericsError,
+    UnknownVertex,
     ValidationError,
 )
-from .graphs import WeightedGraph, is_connected
+from .graphs import WeightedGraph, is_connected, read_section
 from .operators import (
     SUPPORT_MASS_TOL,
     OperatorRep,
@@ -81,11 +82,17 @@ class Potential:
 
     @classmethod
     def from_mapping(cls, g: WeightedGraph, mapping: dict) -> "Potential":
-        """Build from {vertex id: value}; missing vertices get 0."""
-        values = np.zeros(g.n)
-        for vid, val in mapping.items():
-            values[g.vertex_index(str(vid))] = float(val)
-        return cls(values)
+        """Build from {vertex id: value}; missing vertices get 0.
+
+        Read by :func:`~heatlab.graphs.read_section`; a key that is not a
+        vertex id raises UnknownVertex.
+        """
+        values = read_section(mapping, None, dict.fromkeys(g.vertices, 0.0),
+                              "potential")
+        for vid in mapping:
+            if vid not in g.index:
+                raise UnknownVertex(f"potential key {vid!r} is not a vertex id")
+        return cls([column[0] for column in values])
 
 
 def _as_values(op: OperatorRep, V) -> np.ndarray:
@@ -270,7 +277,7 @@ class AdmissibilityVerdict:
 
 def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
                         ) -> AdmissibilityVerdict:
-    """Evaluate the admissibility criteria (i), (ii), (iii) independently.
+    """Evaluate the admissibility criteria (i), (ii), (iii).
 
     (i) is read off lambda0: the exact operator norm e^{-t lambda0} of
     the limit semigroup stays below e^{-tE} for every t > 0 exactly when

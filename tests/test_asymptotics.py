@@ -214,10 +214,10 @@ def test_decay_factors_have_no_subnormals(stiff_star_op):
     assert raw_subnormal
 
 
-def _tiny_cut_kernel_sum(sd, t, shift):
+def _tiny_cut_kernel_sum(sd, t):
     # every atom whose factor is a normal float, as kernel_sum took them
     # before it also left out factors below sqrt(tiny) of the largest
-    decay = decay_factors(sd.eigenvalues, t, shift)
+    decay = decay_factors(sd.eigenvalues, t)
     k = int(np.count_nonzero(decay))
     live = sd.vectors[:, :k]
     return (live * decay[:k]) @ live.T
@@ -282,7 +282,7 @@ def test_kernel_sum_cut_is_relative_to_the_largest_factor():
         p = kernel_sum(sd, t)
         full = (sd.vectors * decay) @ sd.vectors.T
         npt.assert_allclose(p, full, rtol=0, atol=1e-13 * np.max(full))
-        assert p.tobytes() == _tiny_cut_kernel_sum(sd, t, 0.0).tobytes()
+        assert p.tobytes() == _tiny_cut_kernel_sum(sd, t).tobytes()
     assert 0 < decay[0] < np.sqrt(tiny)
 
 

@@ -8,16 +8,26 @@ One sweep over the input rules, each written once in the package:
   (``semigroup.check_time``);
 * a potential has shape (n,) and finite entries
   (``operators.checked_potential``);
-* trotter's step count is a Python or numpy integer >= 1.
+* trotter's step count is a Python or numpy integer >= 1, and the shift
+  model's size N an integer from 1 to the dense limit;
+* an input file (weighted graph, metric graph, potential) is an object
+  whose sections are lists of objects, with every required field present,
+  every number field read by ``float`` and ids unique
+  (``graphs.read_section``).
 
 Each case must raise its rule's error, naming the input, and no
 RuntimeWarning may come out first.
 """
+import json
+
 import numpy as np
 import pytest
 
 import heatlab as hl
+from heatlab import errors
+from heatlab.cli import main
 from heatlab.errors import NegativeTime, NonPositiveTime, ValidationError
+from heatlab.operators import DENSE_LIMIT
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -100,6 +110,8 @@ NAN_POTENTIAL = np.array([np.nan, 0.0, 0.0])
 
 BAD_STEP_COUNTS = {"2.5": 2.5, "nan": np.nan, "inf": np.inf, "0": 0,
                    "-1": -1, "True": True}
+BAD_SIZES = {"DENSE_LIMIT + 1": DENSE_LIMIT + 1, "0": 0, "2.5": 2.5,
+             "True": True}
 
 # scalars outside the three rules, each checked by its one reader
 SCALAR_CASES = {
@@ -142,6 +154,10 @@ def _cases():
         yield pytest.param(lambda n=n: hl.trotter(OP, V, 1.0, n, ONES),
                            ValidationError, f"step count n = {n} is not",
                            id=f"trotter/step count {kind}")
+    for kind, N in BAD_SIZES.items():
+        yield pytest.param(lambda N=N: hl.shift_model(0.25, N),
+                           ValidationError, f"truncation size N = {N} is not",
+                           id=f"shift_model/size {kind}")
     for case, (call, error, match) in SCALAR_CASES.items():
         yield pytest.param(call, error, match, id=case)
 
@@ -156,3 +172,84 @@ def test_trotter_takes_python_and_numpy_integer_step_counts():
     want = hl.trotter(OP, V, 1.0, 4, ONES)
     for n in (np.int64(4), np.int32(4), np.uint8(4)):
         assert hl.trotter(OP, V, 1.0, n, ONES).tobytes() == want.tobytes()
+
+
+VERTICES = [{"id": "a"}, {"id": "b"}]
+EDGES = [{"u": "a", "v": "b", "b": 1.0}]
+METRIC_EDGES = [{"id": "e", "i": "a", "j": "b", "l": 1.0}]
+GRAPH = {"vertices": VERTICES, "edges": EDGES}
+METRIC = {"vertices": VERTICES, "edges": METRIC_EDGES}
+
+# file kind -> the subcommand that reads it, up to the file's path
+FILE_READERS = {
+    "graph": ["spectrum", "--graph"],
+    "metric": ["metric", "--mesh", "0.25", "--graph"],
+    "potential": ["solve", "--potential"],
+}
+# case -> (file kind, document, parts of the message)
+BAD_FILES = {
+    "graph/list document": (
+        "graph", [GRAPH], ["weighted-graph document", "not an object"]),
+    "graph/section not a list": (
+        "graph", {"vertices": 5, "edges": EDGES}, ["vertex 0", "'vertices'"]),
+    "graph/entry not an object": (
+        "graph", {"vertices": VERTICES, "edges": ["ab"]},
+        ["edge 0 ('ab')", "not an object"]),
+    "graph/missing field": (
+        "graph", {"vertices": VERTICES, "edges": [{"u": "a", "v": "b"}]},
+        ["edge 0", "no field 'b'"]),
+    "graph/heavy number": (
+        "graph", {"vertices": [{"id": "a"}, {"id": "b", "m": "heavy"}],
+                  "edges": EDGES}, ["vertex 1", "'m' = 'heavy'"]),
+    "graph/null number": (
+        "graph", {"vertices": VERTICES,
+                  "edges": [{"u": "a", "v": "b", "b": None}]},
+        ["edge 0", "'b' = None"]),
+    "graph/metric-graph file": (
+        "graph", METRIC, ["edge 0", "no field 'u'", "metric-graph edge"]),
+    "metric/list document": (
+        "metric", [METRIC], ["metric-graph document", "not an object"]),
+    "metric/section not a list": (
+        "metric", {"vertices": VERTICES, "edges": 5}, ["edge 0", "'edges'"]),
+    "metric/entry not an object": (
+        "metric", {"vertices": ["a", "b"], "edges": METRIC_EDGES},
+        ["vertex 0 ('a')", "not an object"]),
+    "metric/missing field": (
+        "metric", {"vertices": VERTICES,
+                   "edges": [{"id": "e", "i": "a", "j": "b"}]},
+        ["edge 0", "no field 'l'"]),
+    "metric/heavy number": (
+        "metric", {"vertices": VERTICES,
+                   "edges": [{"id": "e", "i": "a", "j": "b", "l": "heavy"}]},
+        ["edge 0", "'l' = 'heavy'"]),
+    "metric/null number": (
+        "metric", {"vertices": VERTICES,
+                   "edges": [{"id": "e", "i": "a", "j": "b", "l": None}]},
+        ["edge 0", "'l' = None"]),
+    "metric/weighted-graph file": (
+        "metric", GRAPH, ["edge 0", "no field 'id'", "weighted-graph edge"]),
+    "potential/list document": (
+        "potential", [3.0, 0.0], ["potential document", "not an object"]),
+    "potential/heavy number": (
+        "potential", {"a": "heavy"}, ["potential", "'a' = 'heavy'"]),
+    "potential/null number": (
+        "potential", {"b": None}, ["potential", "'b' = None"]),
+}
+
+
+@pytest.mark.parametrize("kind, document, parts", BAD_FILES.values(),
+                         ids=BAD_FILES.keys())
+def test_a_bad_input_file_exits_1_naming_its_entry(tmp_path, capsys, kind,
+                                                   document, parts):
+    # an uncaught error would leave main with a traceback and fail here
+    graph, bad = tmp_path / "graph.json", tmp_path / "bad.json"
+    graph.write_text(json.dumps(GRAPH))
+    bad.write_text(json.dumps(document))
+    argv = FILE_READERS[kind] + [str(bad), "--out", str(tmp_path)]
+    if kind == "potential":
+        argv += ["--graph", str(graph)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert issubclass(getattr(errors, err["error"]), ValidationError)
+    for part in parts:
+        assert part in err["message"]

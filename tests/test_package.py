@@ -214,6 +214,8 @@ RULE_ERRORS = {
     "time": ("NegativeTime", "NonPositiveTime", "time t = "),
     "datum": ("datum ",),
     "potential": ("potential must have shape", "potential V is not finite"),
+    "record": (" is not an object", " has no field ",
+               ", which is not a number", " has the id "),
 }
 
 
@@ -249,15 +251,16 @@ def _rule_raisers(tree, module) -> dict[str, list[str]]:
 
 
 def test_each_input_rule_has_one_raiser():
-    # a time, a vertex function and a potential are each checked in one
-    # public home, so the rules cannot drift apart
+    # a time, a vertex function, a potential and an input file's records
+    # are each checked in one public home, so the rules cannot drift apart
     probe = ast.parse(
         "def f(t):\n"
         "    def g():\n"
         "        raise NegativeTime('t < 0')\n"
         "    raise ValueError(f'datum {t} must have shape')\n")
     assert _rule_raisers(probe, "probe") == {
-        "time": ["probe.g"], "datum": ["probe.f"], "potential": []}
+        "time": ["probe.g"], "datum": ["probe.f"], "potential": [],
+        "record": []}
     raisers = {rule: [] for rule in RULE_ERRORS}
     readers = []
     for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
@@ -272,7 +275,8 @@ def test_each_input_rule_has_one_raiser():
                     and "'values'" in ast.unparse(node)]
     assert raisers == {"time": ["semigroup.check_time"],
                        "datum": ["operators.checked_datum"],
-                       "potential": ["operators.checked_potential"]}
+                       "potential": ["operators.checked_potential"],
+                       "record": ["graphs.read_section"]}
     assert readers == ["operators.checked_potential"]
 
 
