@@ -405,21 +405,19 @@ def positivity_improving(op: OperatorRep) -> bool:
     The verdict comes from the scaling-squaring exponential e^{-S},
     recovered from the unit-time kernel as p_1(x, y) sqrt(m(x) m(y)); the
     threshold is applied to e^{-S}, not to p_1, whose scale depends on
-    m.  That exponential is computed once per operator and shared with
-    :func:`~heatlab.semigroup.heat_kernel` and the scaling-squaring
-    ``apply`` at whole times; other times are not cached.  It is
-    cross-checked against entrywise positivity of the resolvent at
-    alpha = 1 - E0 and against graph connectivity.
-    Any disagreement raises PositivityConnectivityMismatch, because for
-    graphs these three are provably the same thing.
+    m.  It is cross-checked against entrywise positivity of the resolvent
+    at alpha = 1 - E0 and against graph connectivity.  Any disagreement
+    raises PositivityConnectivityMismatch, because for graphs these three
+    are provably the same thing.
     """
     if op.graph is None:
         raise ValueError("operator carries no graph; cannot cross-check")
     rs = np.sqrt(op.m)
-    E = heat_kernel(op, 1.0, SCALING_SQUARING).p * np.outer(rs, rs)
+    E = heat_kernel(op, 1.0, SCALING_SQUARING).p
+    E *= np.outer(rs, rs)
     kernel_verdict = bool(np.min(E) > _POSITIVITY_TOL * np.max(E))
-    sd = eigendecompose(op)
-    R = resolvent(op, 1.0 - sd.E0)
+    del E
+    R = resolvent(op, 1.0 - eigendecompose(op).E0)
     resolvent_verdict = bool(np.min(R) > _POSITIVITY_TOL * np.max(R))
     connected = is_connected(op.graph)
     if kernel_verdict != connected or resolvent_verdict != connected:

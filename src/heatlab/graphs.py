@@ -244,6 +244,10 @@ def build_graph(vertices, edges, m=None, c=None) -> WeightedGraph:
         ids = [str(v) for v in vertices]
     m = np.ones(len(ids)) if m is None else np.asarray(m, dtype=float)
     c = np.zeros(len(ids)) if c is None else np.asarray(c, dtype=float)
+    for name, values in (("m", m), ("c", c)):
+        if values.shape != (len(ids),):
+            raise ValidationError(f"build_graph: {name} has {values.size} "
+                                  f"entries for {len(ids)} vertices")
     vdata = [{"id": vid, "m": mv, "c": cv} for vid, mv, cv in zip(ids, m, c)]
     edata = []
     for u, v, w in edges:

@@ -28,10 +28,10 @@ Three interchangeable evaluators are provided and must agree within
     once by sparse LU at every order, until steps k and k - 2 agree to
     1e-13 of the answer.
 
-:func:`resolvent` factors S + alpha by a dense Cholesky C C^T and inverts
-C by halves in matrix products, leaves of order 64 or less by
-``np.linalg.inv``; no route here imports scipy before it needs sparse
-matrices or the tridiagonal eigensolver.
+:func:`resolvent` forms C^{-1}, C C^T = S + alpha, in one recursion by
+halves that skips the zero rows of each coupling block, leaves of order 64
+or less by ``np.linalg.inv(np.linalg.cholesky(.))``; no route here imports
+scipy before it needs sparse matrices or the tridiagonal eigensolver.
 
 The spectral route and :func:`trotter` expand in the stored phi_i; only
 the matrix routes work on the symmetrization S, scaling f by sqrt(m) on
@@ -122,9 +122,9 @@ _SPARSE_MIN_N = 256
 # benchmark graphs took <= 35 steps, random graphs (n <= 300) <= 40
 _KRYLOV_DIM = 60
 _KRYLOV_TOL = 1e-13
-# blocks of at most this order are inverted by np.linalg.inv in
-# _lower_inverse.  At n = 700 (weighted path) leaves of 32-128 all took
-# 7-8 ms against 34 ms for np.linalg.inv of the whole factor (2 vCPU)
+# largest leaf of _inverse_factor.  At n = 700 leaves of 32-128 took
+# 3.5-4.7 ms on a weighted path and 9.5-10.4 ms on a random graph, against
+# 44 ms for one leaf of order 700 (2 vCPU)
 _TRIANGULAR_LEAF = 64
 
 
@@ -198,14 +198,11 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     its 1-norm is at most 5.37.  A sparse M has its Padé factors built in
     sparse products while they stay sparse (see :func:`_pade13_factors`);
     the solve and the squarings are dense.  When the factors stayed
-    sparse, entries of F below sqrt(tiny) max|F| (about 1.5e-154 max|F|)
-    are set to 0 before each squaring.  The far entries of a long path's
-    e^M lie there, and squaring them ran in subnormal arithmetic, about
-    five times slower; products of two entries above the cut stay normal
-    while max|F| is near 1.  The entries dropped sit far below the
-    normwise accuracy of scaling and squaring.  Dense M, and factors that
-    filled, are squared as they are, bit-for-bit as before.  The zero
-    matrix maps to the identity exactly, with 0 squarings.
+    sparse, entries of F below sqrt(tiny) max|F| are set to 0 before each
+    squaring, which keeps a long path's far entries out of subnormal
+    arithmetic (see ``_SQUARING_FLOOR``).  Dense M, and factors that
+    filled, are squared as they are.  The zero matrix maps to the identity
+    exactly, with 0 squarings.
     """
     sparse = False
     if not isinstance(M, np.ndarray):
@@ -322,12 +319,11 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     2^K matrix-vector products, K = :func:`_vector_squarings`, j is halved,
     the bit it drops goes to the vector, and a copy of F is squared, its
     entries below ``_SQUARING_FLOOR`` max|F| set to 0 first; the remaining
-    j factors go to the vector.  Leaving the K-th squaring to
-    the vector saves 2n^3 flops and costs 2^(K-1) more matrix-vector
-    products of 2n^2 flops each; those are memory-bound and run at a few
-    times lower flop rate, so they count four-fold, and the trade pays
-    while 2^(K+1) <= n.  Raises the NumericsError of :func:`_squarings`,
-    naming t and s, before any work.
+    j factors go to the vector.  A squaring pays once j/2 products cost
+    more: with its copy and floor, from j = 280-300 on a weighted path
+    with n = 700 and j = 90-135 on a discretized star with n = 496 (2 vCPU),
+    against 2^K = 256 and 128.  Raises the NumericsError of
+    :func:`_squarings`, naming t and s, before any work.
     """
     if t % 1 == 0:
         _squarings(op, t)  # checks t, which the held e^{-S} does not
@@ -583,56 +579,58 @@ def chapman_kolmogorov_defect(op: OperatorRep, t: float, s: float,
 
 
 def resolvent(op: OperatorRep, alpha: float) -> np.ndarray:
-    """Resolvent (L + alpha)^{-1} for alpha > -E0.
+    """Resolvent (L + alpha)^{-1} for alpha > -E0, as C^{-T} C^{-1}.
 
-    A failed Cholesky factorization S + alpha = C C^T (the shifted
-    operator is not positive definite, so alpha <= -E0) raises
-    SingularShift, and an alpha that is not finite raises
-    ValidationError.  (S + alpha)^{-1} is formed as C^{-T} C^{-1}, which
-    comes out exactly symmetric.  C^{-1} is inverted by halves, in
-    matrix products (see :func:`_lower_inverse`); up to order 64 it is
-    ``np.linalg.inv(C)`` itself.  S + alpha is an M-matrix, so C^{-1} >= 0
-    and its off-diagonal blocks are formed without subtraction: on a
-    weighted path of 700 vertices the entries, down to 1e-307, moved by
-    at most 5e-15 relative from the LU route's.
+    C^{-1}, for the Cholesky factor S + alpha = C C^T, comes from one
+    recursion by halves (:func:`_inverse_factor`); up to order 64 it is
+    ``np.linalg.inv(np.linalg.cholesky(S + alpha))``.  The result is
+    exactly symmetric.  A failed factorization at any block (alpha <= -E0)
+    raises SingularShift, an alpha that is not finite ValidationError.
+    S + alpha is an M-matrix, so C^{-1} >= 0 is formed without subtraction:
+    on a weighted path of 700 vertices the entries, down to 1e-307, are
+    within 5e-15 relative of the LU route's.
     """
     if not math.isfinite(alpha):
         raise ValidationError(f"resolvent shift alpha = {alpha} is not finite")
-    shifted = op.S + alpha * np.eye(op.n)
+    A, X = op.S.copy(), np.zeros((op.n, op.n))
+    A.flat[::op.n + 1] += alpha
     try:
-        C = np.linalg.cholesky(shifted)
+        _inverse_factor(A, X)
     except np.linalg.LinAlgError as exc:
         raise SingularShift(
             f"S + {alpha} I is not positive definite; alpha <= -E0"
         ) from exc
-    C_inv = _lower_inverse(C)
-    RS = C_inv.T @ C_inv
-    rs = np.sqrt(op.m)
-    return RS * np.outer(1.0 / rs, rs)
+    RS, rs = X.T @ X, np.sqrt(op.m)
+    RS *= np.outer(1.0 / rs, rs)
+    return RS
 
 
-def _lower_inverse(C: np.ndarray) -> np.ndarray:
-    """C^{-1} of a lower-triangular C, by halves.
+def _inverse_factor(A: np.ndarray, X: np.ndarray) -> None:
+    """Write C^{-1} into the zeroed X, where C C^T = A; A is overwritten.
 
-    With C = [[C11, 0], [C21, C22]] the inverse is [[X11, 0], [X21, X22]],
-    X11 = C11^{-1}, X22 = C22^{-1} and X21 = -X22 C21 X11: two matrix
-    products per split, 2n^3/3 flops in all at BLAS-3 speed, where an LU
-    solve against the identity spends about 2.7n^3.  Blocks of order
-    ``_TRIANGULAR_LEAF`` or less go to ``np.linalg.inv``, so below that
-    order the inverse is the LU route's bit for bit.  For the Cholesky
-    factor of an M-matrix C21 <= 0 and X >= 0, so every off-diagonal
-    block is a product of non-negative matrices and involves no
-    cancellation.
+    With X11 = C11^{-1} from the first half, C21 = A21 X11^T, the second
+    half is the Schur complement A22 - C21 C21^T and X21 = -X22 C21 X11.
+    Only the rows of A21 that hold a nonzero enter: one on a path, a few
+    on a discretized star, so long-diameter graphs cost O(n^2) above the
+    leaves.  When most rows couple (short diameter) the blocks multiply
+    whole, gathering nothing.  For an M-matrix C21 <= 0 and X >= 0, so
+    every off-diagonal block is a product of non-negative matrices.
     """
-    n = C.shape[0]
+    n = A.shape[0]
     if n <= _TRIANGULAR_LEAF:
-        return np.linalg.inv(C)
+        X[...] = np.linalg.inv(np.linalg.cholesky(A))
+        return
     h = n // 2
-    X = np.zeros_like(C)
-    X[:h, :h] = X11 = _lower_inverse(C[:h, :h])
-    X[h:, h:] = X22 = _lower_inverse(C[h:, h:])
-    X[h:, :h] = -(X22 @ (C[h:, :h] @ X11))
-    return X
+    X11, A22 = X[:h, :h], A[h:, h:]
+    _inverse_factor(A[:h, :h], X11)
+    r = np.flatnonzero(A[h:, :h].any(axis=1))
+    rr = np.ix_(r, r)
+    if 2 * len(r) > n - h:
+        r, rr = slice(None), np.s_[:, :]
+    D = -A[h:, :h][r] @ X11.T  # -C21 on the coupled rows
+    A22[rr] -= D @ D.T
+    _inverse_factor(A22, X[h:, h:])
+    np.matmul(X[h:, h:][:, r], D @ X11, out=X[h:, :h])
 
 
 def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:

@@ -10,6 +10,7 @@ One sweep over the input rules, each written once in the package:
   (``operators.checked_potential``);
 * trotter's step count is a Python or numpy integer >= 1, and the shift
   model's size N an integer from 1 to the dense limit;
+* ``build_graph``'s ``m`` and ``c`` hold one value per vertex;
 * an input file (weighted graph, metric graph, potential) is an object
   whose sections are lists of objects, with every required field present,
   every number field read by ``float`` and ids unique
@@ -158,6 +159,13 @@ def _cases():
         yield pytest.param(lambda N=N: hl.shift_model(0.25, N),
                            ValidationError, f"truncation size N = {N} is not",
                            id=f"shift_model/size {kind}")
+    for field in ("m", "c"):
+        for kind, size in (("short", 2), ("long", 4)):
+            yield pytest.param(
+                lambda field=field, size=size: hl.build_graph(
+                    3, [(0, 1, 1.0)], **{field: np.ones(size)}),
+                ValidationError, f"{field} has {size} entries for 3 vertices",
+                id=f"build_graph/{kind} {field}")
     for case, (call, error, match) in SCALAR_CASES.items():
         yield pytest.param(call, error, match, id=case)
 

@@ -1006,6 +1006,69 @@ def test_resolvent_singular_shift_above_the_leaf():
         resolvent(op, -1e-3)
 
 
+def _hub_first_tree(arms, length, seed):
+    """Weighted paths joined at vertex 0, numbered arm after arm."""
+    rng = np.random.default_rng(seed)
+    n = 1 + arms * length
+    edges = []
+    for first in range(1, n, length):
+        edges.append((0, first, float(rng.uniform(0.5, 2.0))))
+        edges += [(k, k + 1, float(rng.uniform(0.5, 2.0)))
+                  for k in range(first, first + length - 1)]
+    return build_graph(n, edges, m=rng.uniform(0.5, 2.0, n))
+
+
+def _weighted_cycle(n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n)
+    return build_graph(n, [(k, (k + 1) % n, float(w[k])) for k in range(n)],
+                       m=rng.uniform(0.5, 2.0, n))
+
+
+@pytest.mark.parametrize("graph", [_hub_first_tree(4, 20, 1),
+                                   _weighted_cycle(90, 2)],
+                         ids=["hub-first tree", "weighted cycle"])
+def test_resolvent_is_entrywise_accurate_off_the_band(graph):
+    # above the leaf the coupling block holds the hub's edges to the arms
+    # in the second half, or the cycle's closing edge: not a band
+    assert graph.n > semigroup._TRIANGULAR_LEAF
+    R = resolvent(assemble(graph), 1.0)
+    exact = _exact_resolvent(graph, 1.0)
+    assert np.all(R > 0)
+    assert np.max(np.abs(R - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("interleaved", [False, True],
+                         ids=["in halves", "interleaved"])
+def test_resolvent_of_two_components_is_zero_between_them(interleaved):
+    n = 2 * semigroup._TRIANGULAR_LEAF + 6
+    rng = np.random.default_rng(7)
+    parts = ([range(0, n, 2), range(1, n, 2)] if interleaved
+             else [range(n // 2), range(n // 2, n)])
+    edges = [(a, b, float(rng.uniform(0.5, 2.0)))
+             for part in parts for a, b in zip(part, part[1:])]
+    op = assemble(build_graph(n, edges, m=rng.uniform(0.5, 2.0, n)))
+    R = resolvent(op, 1.0)
+    second = np.isin(np.arange(n), parts[1])
+    between = second[:, None] != second[None, :]
+    assert np.all(R[between] == 0)
+    assert np.all(R[~between] > 0)
+    assert positivity_improving(op) is False
+
+
+def test_resolvent_of_a_short_diameter_graph_agrees_with_the_lu_route():
+    rng = np.random.default_rng(11)
+    g = next(g for g in iter(lambda: random_graph(rng, n_max=300), None)
+             if g.n > 2 * semigroup._TRIANGULAR_LEAF)
+    op = assemble(g)
+    # most rows of the first coupling block hold a nonzero, so the
+    # recursion multiplies whole blocks there
+    h = op.n // 2
+    assert 2 * np.count_nonzero(op.S[h:, :h].any(axis=1)) > op.n - h
+    npt.assert_allclose(resolvent(op, 0.5), _lu_route_resolvent(op, 0.5),
+                        rtol=1e-13, atol=0)
+
+
 def test_trotter_rejects_bad_potential(path3):
     op = assemble(path3)
     f = np.ones(op.n)
