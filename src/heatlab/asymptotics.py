@@ -225,9 +225,9 @@ def kernel_factorization_defects(op: OperatorRep, x, y, grid) -> np.ndarray:
     per operator and keeps, so no n x n kernel is formed.
     """
     grid = TimeGrid.of(grid)
+    ix = op.vertex_index(x)
+    iy = op.vertex_index(y)
     sd = eigendecompose(op)
-    ix = op.graph.vertex_index(x)
-    iy = op.graph.vertex_index(y)
     g_x = kernel_column(op, 1.0, ix, SCALING_SQUARING)
     g_y = kernel_column(op, 1.0, iy, SCALING_SQUARING)
     rhs_atoms = SpectralAtoms.pairing(sd, g_x, g_y)
@@ -259,9 +259,9 @@ def rate_kernel(op: OperatorRep, x, y, grid) -> RateEstimate:
         If x and y lie in different connected components.
     """
     grid = TimeGrid.of(grid)
+    ix = op.vertex_index(x)
+    iy = op.vertex_index(y)
     sd = eigendecompose(op)
-    ix = op.graph.vertex_index(x)
-    iy = op.graph.vertex_index(y)
     atoms = SpectralAtoms.grouped(sd, sd.vectors[ix] * sd.vectors[iy])
     scale = np.sqrt(np.sum(sd.vectors[ix, :] ** 2)
                     * np.sum(sd.vectors[iy, :] ** 2))

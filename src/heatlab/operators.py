@@ -72,8 +72,8 @@ class OperatorRep:
     vertex measure; ``lower_bound`` is a certified constant with
     L >= lower_bound (0 whenever c >= 0, a Gershgorin bound for
     potential-shifted operators).  Quantities derived from S alone are
-    computed on first read and kept with it: ``s_norm1``, the sparse
-    ``S_csr`` and the eigendata behind :func:`eigendecompose`.
+    computed on first read and kept on it: ``s_norm1``, ``S_csr``, the
+    eigendata behind :func:`eigendecompose` and, by :meth:`held`, e^{-S}.
     """
 
     S: np.ndarray
@@ -93,6 +93,20 @@ class OperatorRep:
     def norm(self, u) -> float:
         """||u||_m, finite and nonzero whenever its value is in range."""
         return _m_norm(u, self.m)
+
+    def held(self, name: str, build):
+        """``build()`` at the first read of ``name``, then the result kept
+        where the cached properties keep theirs; ``name`` is no attribute."""
+        if name not in vars(self):
+            vars(self)[name] = build()
+        return vars(self)[name]
+
+    def vertex_index(self, v: str | int) -> int:
+        """The graph's position of vertex ``v``; ValueError without a graph."""
+        if self.graph is None:
+            raise ValueError(
+                f"operator carries no graph; cannot look up vertex {v!r}")
+        return self.graph.vertex_index(v)
 
     @cached_property
     def s_norm1(self) -> float:
@@ -351,8 +365,8 @@ def _group_eigenvalues(w: np.ndarray) -> tuple[tuple[int, int], ...]:
 def eigendecompose(op: OperatorRep) -> SpectralData:
     """Dense eigendecomposition of S, mapped back to m-orthonormal vectors.
 
-    The result is kept on the operator (operators are immutable): a
-    second call returns the same object, and it dies with the operator.
+    The result is kept on the operator, as its e^{-S} is: a second
+    call returns the same object, and it dies with the operator.
     :func:`shift_by_potential` keeps the shifts of the latest base
     operator, so each of its L - V is decomposed once.
 

@@ -470,7 +470,8 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
         least three stages, and the limit becomes the sentinel -inf.
     ks : sequence of float, optional
         Truncation levels; per stage the report then also carries
-        E0(L - V^k), the upper bounds dominating lambda0.
+        E0(L - V^k), the upper bounds dominating lambda0, each the lowest
+        eigenvalue of its shifted S (``np.linalg.eigvalsh``, no vectors).
     """
     ks = _levels(ks)
     lams = []
@@ -481,9 +482,8 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
         values = _as_values(op, V)
         lams.append(lambda0(op, values))
         sizes.append(g.n)
-        bounds.append(tuple(
-            eigendecompose(shift_by_potential(op, np.minimum(values, k))).E0
-            for k in ks))
+        bounds.append(tuple(float(np.linalg.eigvalsh(
+            shift_by_potential(op, np.minimum(values, k)).S)[0]) for k in ks))
     if not lams:
         raise ValidationError("the exhaustion probe needs at least one stage")
     drops = [lams[i] - lams[i + 1] for i in range(len(lams) - 1)]

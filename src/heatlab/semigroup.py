@@ -15,7 +15,7 @@ Three interchangeable evaluators are provided and must agree within
     squarings are dense, and before each squaring of sparse-built factors
     the entries below sqrt(tiny) max|F| are set to 0, which keeps the
     squarings out of subnormal arithmetic.
-    e^{-S} is kept per operator once computed.  :func:`apply` returns
+    e^{-S} is held on its operator once computed.  :func:`apply` returns
     F^j v: at a whole time j, F = e^{-S}; at any other time, F is the
     approximant with its last k squarings still to do and j = 2^k.  A copy
     of F is squared, floored the same way, only while j exceeds 2^K
@@ -45,7 +45,6 @@ RuntimeWarning.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,11 +234,6 @@ def pade13_expm(M) -> tuple[np.ndarray, int]:
     return F, squarings
 
 
-_unit_time_cache: "weakref.WeakKeyDictionary[OperatorRep, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _check_resolution(norm: float, where: str) -> None:
     """Raise NumericsError once rounding S leaves e^{-tS} no correct digit.
 
@@ -282,23 +276,22 @@ def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
 
 
 def _exponential(op: OperatorRep, t: float) -> np.ndarray:
-    """e^{-tS} by :func:`pade13_expm`; read-only and kept per operator at t = 1.
+    """e^{-tS} by :func:`pade13_expm`; at t = 1 read-only and held on op.
 
     The one place S reaches the Padé build, in CSR from order
     ``_SPARSE_MIN_N`` on, after :func:`_squarings` has checked t.  Only
     t = 1 recurs in the library (whole-time :func:`apply`, kernel
-    functions, the factorization identity, positivity), so one n x n
-    matrix per live operator is stored; other times are computed afresh.
+    functions, the factorization identity, positivity), so e^{-S} is held
+    as "exp(-S)" and dies with op; other times are computed afresh.
     """
-    E = _unit_time_cache.get(op) if t == 1.0 else None
-    if E is None:
+    sparse = op.n >= _SPARSE_MIN_N
+
+    def build():
         _squarings(op, t)
-        S = op.S_csr if op.n >= _SPARSE_MIN_N else op.S
-        E, _ = pade13_expm(S * -t)
-        if t == 1.0:
-            E.setflags(write=False)
-            _unit_time_cache[op] = E
-    return E
+        E, _ = pade13_expm((op.S_csr if sparse else op.S) * -t)
+        E.setflags(write=t != 1.0)  # only the held e^{-S} is read-only
+        return E
+    return op.held("exp(-S)", build) if t == 1.0 else build()
 
 
 def _vector_squarings(n: int) -> int:
@@ -443,7 +436,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
         Function on the vertices.
     method : SemigroupMethod, optional
         Defaults to the spectral path.  Scaling-squaring returns F^j f:
-        at a whole time j, F = e^{-S}, built on first use and kept per
+        at a whole time j, F = e^{-S}, built on first use and held on the
         operator; at any other time, F is the Padé approximant with its
         last k squarings left to the 2^k matrix-vector products j = 2^k.
 
@@ -500,7 +493,7 @@ def heat_kernel(op: OperatorRep, t: float,
     times e^{-t E0}, count as exactly zero (see
     :func:`~heatlab.operators.kernel_sum`); with
     scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}, where e^{-S} (t = 1)
-    is the matrix kept per operator that whole-time :func:`apply` powers.
+    is the matrix held on the operator that whole-time :func:`apply` powers.
     Every other t, whole times included, runs a fresh Padé chain and is
     not cached, so that :func:`chapman_kolmogorov_defect` compares
     independent evaluations rather than powers of one matrix.  The
@@ -542,11 +535,11 @@ def kernel_column(op: OperatorRep, t: float, y: str | int,
                   method: SemigroupMethod | None = None) -> np.ndarray:
     """Single kernel column p_t(., y) via one semigroup application.
 
-    ``y`` is a vertex id or a position in ``0 .. n - 1``; anything else
-    raises UnknownVertex.
+    ``y`` is a vertex id or a position in ``0 .. n - 1``, else
+    UnknownVertex; a graph-less operator raises ValueError.
     """
     check_time(t, positive=True)
-    iy = op.graph.vertex_index(y)
+    iy = op.vertex_index(y)
     delta = np.zeros(op.n)
     delta[iy] = 1.0
     return apply(op, t, delta, method) / op.m[iy]

@@ -11,6 +11,8 @@ One sweep over the input rules, each written once in the package:
 * trotter's step count is a Python or numpy integer >= 1, and the shift
   model's size N an integer from 1 to the dense limit;
 * ``build_graph``'s ``m`` and ``c`` hold one value per vertex;
+* a vertex is looked up in the operator's graph, so an operator built
+  from S alone names its missing graph (``OperatorRep.vertex_index``);
 * an input file (weighted graph, metric graph, potential) is an object
   whose sections are lists of objects, with every required field present,
   every number field read by ``float`` and ids unique
@@ -114,6 +116,15 @@ BAD_STEP_COUNTS = {"2.5": 2.5, "nan": np.nan, "inf": np.inf, "0": 0,
 BAD_SIZES = {"DENSE_LIMIT + 1": DENSE_LIMIT + 1, "0": 0, "2.5": 2.5,
              "True": True}
 
+# evaluator -> its call on an operator built from S alone, without a graph
+BARE = hl.OperatorRep(S=OP.S, m=OP.m, lower_bound=OP.lower_bound)
+VERTEX_READERS = {
+    "kernel_column": lambda: hl.kernel_column(BARE, 1.0, 0),
+    "rate_kernel": lambda: hl.rate_kernel(BARE, 0, 1, GRID),
+    "kernel_factorization_defects": (
+        lambda: hl.kernel_factorization_defects(BARE, 0, 1, GRID)),
+}
+
 # scalars outside the three rules, each checked by its one reader
 SCALAR_CASES = {
     "resolvent/nan alpha": (lambda: hl.resolvent(OP, np.nan),
@@ -166,6 +177,9 @@ def _cases():
                     3, [(0, 1, 1.0)], **{field: np.ones(size)}),
                 ValidationError, f"{field} has {size} entries for 3 vertices",
                 id=f"build_graph/{kind} {field}")
+    for reader, call in VERTEX_READERS.items():
+        yield pytest.param(call, ValueError, "operator carries no graph",
+                           id=f"{reader}/no graph")
     for case, (call, error, match) in SCALAR_CASES.items():
         yield pytest.param(call, error, match, id=case)
 

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from scipy.special import logsumexp
 
-from heatlab import assemble, build_graph, dirichlet_energy, operators
+from heatlab import (SCALING_SQUARING, apply, assemble, build_graph,
+                     dirichlet_energy, operators)
 from heatlab.errors import ValidationError, ZeroVector
 from heatlab.operators import (
     GROUPING_TOL,
@@ -50,14 +51,28 @@ def test_operator_holds_S_m_lower_bound_and_graph(rng):
                 if isinstance(v, np.ndarray) and v.ndim == 2] == ["S"]
 
 
-def test_eigendata_die_with_their_operator(rng):
+def _unit_time_exponential(op):
+    # e^{-S}, built by a public scaling-squaring call and read where
+    # OperatorRep.held keeps it
+    apply(op, 1.0, np.ones(op.n), SCALING_SQUARING)
+    return op.held("exp(-S)", lambda: pytest.fail("op holds no e^{-S}"))
+
+
+@pytest.mark.parametrize("read", [lambda op: op.S_csr, eigendecompose,
+                                  _unit_time_exponential],
+                         ids=["S_csr", "eigendata", "exponential"])
+def test_held_data_die_with_their_operator(rng, read):
+    # every datum derived from S is held on the operator, not in a
+    # registry beside it: a second read returns the same object, and
+    # nothing keeps it once the operator is gone
     op = assemble(random_graph(rng, n_max=12))
-    sd = weakref.ref(eigendecompose(op))
+    datum = weakref.ref(read(op))
+    assert read(op) is datum()
     held = weakref.ref(op)
     del op
     gc.collect()
     assert held() is None
-    assert sd() is None
+    assert datum() is None
 
 
 def test_shifted_operator_keeps_its_eigendata(rng):

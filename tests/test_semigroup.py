@@ -1,5 +1,4 @@
 import ast
-import gc
 import inspect
 import json
 import math
@@ -8,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +86,7 @@ def test_apply_rejects_a_non_finite_datum(path3, method, decompositions):
     with pytest.raises(ValidationError, match="datum f is not finite"):
         apply(op, 1.0, [np.nan, 0.0, 0.0], method)
     assert decompositions == []
-    assert op not in semigroup._unit_time_cache
+    assert "exp(-S)" not in vars(op)
 
 
 def test_semigroup_law(rng):
@@ -416,22 +414,10 @@ def test_unit_time_exponential_computed_once_per_operator(monkeypatch):
         npt.assert_array_equal(a, b)
     assert got[3] is fresh[3] is True
 
-    stored = semigroup._unit_time_cache[op]
+    stored = _held_exponential(op)
     assert not stored.flags.writeable
     p = heat_kernel(op, 1.0, SCALING_SQUARING).p
     assert p.flags.writeable and not np.shares_memory(p, stored)
-
-
-def test_unit_time_cache_entry_dies_with_operator(single_edge):
-    op = assemble(single_edge)
-    heat_kernel(op, 1.0, SCALING_SQUARING)
-    gc.collect()
-    held = len(semigroup._unit_time_cache)
-    alive = weakref.ref(op)
-    del op
-    gc.collect()
-    assert alive() is None
-    assert len(semigroup._unit_time_cache) == held - 1
 
 
 def _seeded_path(n=300):
@@ -554,11 +540,17 @@ def test_powered_apply_leaves_last_squarings_to_the_vector(
         npt.assert_array_equal(F, full)
 
 
+def _held_exponential(op):
+    """The e^{-S} held on op, read through ``OperatorRep.held``; fails the
+    test where op holds none."""
+    return op.held("exp(-S)", lambda: pytest.fail("op holds no e^{-S}"))
+
+
 def _held(op):
     """op, with e^{-S} computed and kept by a scaling-squaring apply at
     t = 1."""
     apply(op, 1.0, np.ones(op.n), SCALING_SQUARING)
-    assert op in semigroup._unit_time_cache
+    _held_exponential(op)
     return op
 
 
@@ -576,7 +568,7 @@ def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
            assemble(random_graph(rng, n_max=60))]
     for op in ops:
         _held(op)
-        held = semigroup._unit_time_cache[op]
+        held = _held_exponential(op)
         kept = held.copy()
         f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
         calls = _recorded_pade(monkeypatch)
@@ -593,7 +585,7 @@ def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
         assert 0 < len(floors) <= sum(max(math.ceil(math.log2(t / budget)), 0)
                                       for t in times)
         monkeypatch.undo()
-        assert semigroup._unit_time_cache[op] is held
+        assert _held_exponential(op) is held
         assert not held.flags.writeable
         npt.assert_array_equal(held, kept)
         for t, out in got.items():
@@ -611,7 +603,7 @@ def test_whole_time_apply_is_independent_of_earlier_calls(rng, t,
         fresh = assemble(op.graph)
         got = apply(fresh, t, f, SCALING_SQUARING)
         npt.assert_array_equal(got, apply(_held(op), t, f, SCALING_SQUARING))
-        assert not semigroup._unit_time_cache[fresh].flags.writeable
+        assert not _held_exponential(fresh).flags.writeable
 
 
 def test_whole_time_apply_takes_integer_times(monkeypatch, path3):
