@@ -98,8 +98,12 @@ class TimeGrid:
     @classmethod
     def geometric(cls, t0: float = 1.0, ratio: float = 1.5,
                   count: int = 20) -> "TimeGrid":
-        if t0 <= 0 or ratio <= 1 or count < 3:
-            raise ValidationError("need t0 > 0, ratio > 1 and count >= 3")
+        """Times t0 ratio^j, j < count, count an integer >= 3."""
+        if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+                or count < 3):
+            raise ValidationError(f"count = {count} is not an integer >= 3")
+        if t0 <= 0 or ratio <= 1:
+            raise ValidationError("need t0 > 0 and ratio > 1")
         return cls(t0 * ratio ** np.arange(count))
 
     @classmethod

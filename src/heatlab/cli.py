@@ -349,9 +349,9 @@ def cmd_counterexample(args) -> int:
         rates[str(lam)] = float(est.differenced)
         rows.extend((t, lam, -lv, d) for t, lv, d in
                     zip(est.times, est.log_values, est.differenced_history))
-    defect = float(np.linalg.norm(
-        shift_orbit(model, args.lam, 5.0) - closed_orbit(model, args.lam, 5.0))
-        / np.linalg.norm(closed_orbit(model, args.lam, 5.0)))
+    closed = closed_orbit(model, args.lam, 5.0)
+    defect = float(np.linalg.norm(shift_orbit(model, args.lam, 5.0) - closed)
+                   / np.linalg.norm(closed))
     _write_csv(args.out / "counterexample.csv",
                ["t", "lambda", "log_pairing", "differenced_rate"], rows)
     _write_json(args.out / "counterexample.json", {

@@ -69,17 +69,21 @@ class OperatorRep:
     """Matrix realization of the graph operator.
 
     ``S`` is the symmetrization D_m^{1/2} L D_m^{-1/2} and ``m`` the
-    vertex measure; ``lower_bound`` is a certified constant with
-    L >= lower_bound (0 whenever c >= 0, a Gershgorin bound for
-    potential-shifted operators).  Quantities derived from S alone are
-    computed on first read and kept on it: ``s_norm1``, ``S_csr``, the
-    eigendata behind :func:`eigendecompose` and, by :meth:`held`, e^{-S}.
+    vertex measure, both held as read-only views (the caller's arrays
+    are left as they were), so nothing derived from them goes stale.
+    Quantities derived from them are computed on first read and kept on
+    the operator: ``s_norm1``, ``S_csr``, ``lower_bound``, the eigendata
+    behind :func:`eigendecompose` and, by :meth:`held`, e^{-S}.
     """
 
     S: np.ndarray
     m: np.ndarray
-    lower_bound: float
     graph: WeightedGraph | None = None
+
+    def __post_init__(self):  # S and m as read-only views, never copies
+        for name, data in (("S", self.S), ("m", self.m)):
+            object.__setattr__(self, name, np.asarray(data).view())
+            getattr(self, name).setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -126,6 +130,16 @@ class OperatorRep:
         return csr_array(self.S)
 
     @cached_property
+    def lower_bound(self) -> float:
+        """Certified L >= lower_bound, the Gershgorin bound of L read from
+        :attr:`S_csr` in O(nnz): min_x S_xx - sum_{y != x} |S_xy|
+        sqrt(m_y / m_x).  On a graph operator that is min c/m, the
+        ground-state (Barta) bound at phi = sqrt(m); min(c/m - V) after a
+        shift."""
+        d, rs = self.S_csr.diagonal(), np.sqrt(self.m)
+        return float(np.min(d - (abs(self.S_csr) @ rs / rs - np.abs(d))))
+
+    @cached_property
     def _eigendata(self) -> SpectralData:
         # read through eigendecompose, which documents it
         if self.n > DENSE_LIMIT:
@@ -166,11 +180,6 @@ def power_of_two_scale(u) -> float:
     return math.ldexp(0.5, math.frexp(np.max(np.abs(u)))[1])
 
 
-def _gershgorin_lower(S: np.ndarray) -> float:
-    radii = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
-    return float(np.min(np.diag(S) - radii))
-
-
 def assemble(g: WeightedGraph) -> OperatorRep:
     """Assemble S for a validated graph.
 
@@ -186,7 +195,7 @@ def assemble(g: WeightedGraph) -> OperatorRep:
         K[j, i] = -w
     rs = np.sqrt(g.m)
     S = K / np.outer(rs, rs)
-    return OperatorRep(S=S, m=g.m.copy(), lower_bound=0.0, graph=g)
+    return OperatorRep(S=S, m=g.m, graph=g)
 
 
 def checked_datum(f, n: int, name: str) -> np.ndarray:
@@ -233,9 +242,9 @@ _shift_cache: "weakref.WeakKeyDictionary[OperatorRep, dict]" = (
 def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     """Operator for L - V, i.e. c replaced by c - V m.
 
-    V >= 0 makes the effective killing term sign-indefinite, so the
-    certified lower bound falls back to Gershgorin on S - diag(V).  An
-    all-zero V returns ``op`` itself, whose eigendata are then shared.
+    V >= 0 makes the effective killing term sign-indefinite, and the
+    certified ``lower_bound`` reads min(c/m - V).  An all-zero V returns
+    ``op`` itself, whose eigendata are then shared.
 
     The shifts of the latest base operator are kept: for an equal
     potential (bit for bit) on the same ``op`` the same read-only
@@ -254,10 +263,7 @@ def shift_by_potential(op: OperatorRep, V) -> OperatorRep:
     key = V.tobytes()
     shifted = shifts.get(key)
     if shifted is None:
-        S = op.S - np.diag(V)
-        S.setflags(write=False)
-        shifted = OperatorRep(S=S, m=op.m, lower_bound=_gershgorin_lower(S),
-                              graph=op.graph)
+        shifted = OperatorRep(S=op.S - np.diag(V), m=op.m, graph=op.graph)
         shifts[key] = shifted
     return shifted
 

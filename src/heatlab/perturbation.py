@@ -107,12 +107,17 @@ def _as_values(op: OperatorRep, V) -> np.ndarray:
 
 
 def _levels(ks) -> tuple[float, ...]:
-    """Truncation levels as floats in the order given, each >= 0 (or inf)."""
-    levels = tuple(float(k) for k in ks)
-    for k in levels:
-        if not k >= 0:
+    """Truncation levels as floats in the order given, each >= 0 (or inf);
+    the one home of the level rule, for levels ``float`` cannot read too."""
+    levels = []
+    for k in ks:
+        try:
+            levels.append(float(k))
+        except (TypeError, ValueError):
+            levels.append(math.nan)
+        if not levels[-1] >= 0:
             raise ValidationError(f"truncation level {k} is not a number >= 0")
-    return levels
+    return tuple(levels)
 
 
 def lambda0(op: OperatorRep, V) -> float:
@@ -360,12 +365,12 @@ def admissibility_check(op: OperatorRep, V, E: float, f, g, grid, ks
 
 @dataclass(frozen=True, eq=False)
 class ApproximatedSolution:
-    """Evolution u(t) = lim_k e^{-t(L - V^k)} f_k for f >= 0.
+    """Evolution u(t) = e^{-t(L - V)} f = lim_k e^{-t(L - V^k)} f_k, f >= 0.
 
-    Carries the underlying truncation ladder, central-difference ODE
-    residuals at the interior grid times (relative to ||u||_m) and the
-    log-domain margins of the exponential bound
-    ||u(t)||_m <= ||f||_m e^{-lambda0 t}.
+    u is computed at the full V.  Carries the truncation ladder alongside
+    (nothing reads it), central-difference ODE residuals at the interior
+    grid times (relative to ||u||_m) and the log-domain margins of the
+    exponential bound ||u(t)||_m <= ||f||_m e^{-lambda0 t}.
     """
 
     times: np.ndarray
@@ -378,7 +383,9 @@ class ApproximatedSolution:
 
 def approximated_solution(op: OperatorRep, V, f, grid, ks
                           ) -> ApproximatedSolution:
-    """Solve u' + (L - V) u = 0, u(0) = f, through the truncation ladder.
+    """Solve u' + (L - V) u = 0, u(0) = f, by e^{-t(L - V)} f at the full V.
+
+    The truncation ladder at ``ks`` is built alongside, not used for u.
 
     The evolution, its residuals and its margins are computed for f
     divided by the power of two that brings max f into [1, 2), and u is
@@ -465,14 +472,16 @@ def exhaustion_divergence_probe(stages, margin: float = 1.0,
     stages : sequence of (WeightedGraph, potential) pairs
         Typically restrictions of one infinite model to growing balls.
     margin : float
-        Drop per stage that counts as divergence; the flag is raised
-        once the last two stage-to-stage drops both reach it across at
-        least three stages, and the limit becomes the sentinel -inf.
+        Drop per stage that counts as divergence, finite and > 0; the
+        flag is raised once the last two stage-to-stage drops both reach
+        it across at least three stages, and the limit becomes -inf.
     ks : sequence of float, optional
         Truncation levels; per stage the report then also carries
         E0(L - V^k), the upper bounds dominating lambda0, each the lowest
         eigenvalue of its shifted S (``np.linalg.eigvalsh``, no vectors).
     """
+    if not 0 < margin < math.inf:
+        raise ValidationError(f"margin = {margin} is not a finite number > 0")
     ks = _levels(ks)
     lams = []
     sizes = []

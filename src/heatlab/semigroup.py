@@ -342,8 +342,9 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     reorthogonalization (twice) on solves with I + gamma (S - sigma I),
     gamma = t / 10, factored once by sparse LU (SuperLU, on the CSC form of
     that matrix) at every order, built from the operator's held ``S_csr``
-    without reading the dense S.  sigma = ``op.lower_bound`` is certified,
-    so that matrix has eigenvalues >= 1.  A Ritz value theta maps to the
+    without reading the dense S.  sigma = ``op.lower_bound``, the bound
+    the operator derives from its S and m (min c/m on a graph operator),
+    gives that matrix eigenvalues >= 1.  A Ritz value theta maps to the
     energy sigma + (1/theta - 1)/gamma.  Steps k and k - 2 are compared
     scaled by e^{tE}, E the lowest energy of step k, so an answer that
     decayed, even below the floating range, is judged relative to itself.

@@ -8,8 +8,11 @@ One sweep over the input rules, each written once in the package:
   (``semigroup.check_time``);
 * a potential has shape (n,) and finite entries
   (``operators.checked_potential``);
-* trotter's step count is a Python or numpy integer >= 1, and the shift
-  model's size N an integer from 1 to the dense limit;
+* trotter's step count is a Python or numpy integer >= 1, a geometric
+  time grid's count one >= 3, and the shift model's size N an integer
+  from 1 to the dense limit;
+* a truncation level is a number >= 0 (``perturbation._levels``), and
+  the exhaustion probe's margin a finite number > 0;
 * ``build_graph``'s ``m`` and ``c`` hold one value per vertex;
 * a vertex is looked up in the operator's graph, so an operator built
   from S alone names its missing graph (``OperatorRep.vertex_index``);
@@ -115,9 +118,25 @@ BAD_STEP_COUNTS = {"2.5": 2.5, "nan": np.nan, "inf": np.inf, "0": 0,
                    "-1": -1, "True": True}
 BAD_SIZES = {"DENSE_LIMIT + 1": DENSE_LIMIT + 1, "0": 0, "2.5": 2.5,
              "True": True}
+BAD_COUNTS = {"3.5": 3.5, "2": 2, "nan": np.nan, "True": True}
+BAD_MARGINS = {"nan": np.nan, "inf": np.inf, "0": 0.0, "-1": -1.0}
+
+# evaluator -> its call with one truncation level k
+LEVEL_READERS = {
+    "truncated_semigroup": lambda k: hl.truncated_semigroup(
+        OP, V, k, 1.0, ONES),
+    "truncation_ladder": lambda k: hl.truncation_ladder(
+        OP, V, ONES, GRID, (1.0, k)),
+    "sv_limit": lambda k: hl.sv_limit(OP, V, 1.0, ONES, (1.0, k)),
+    "admissibility_check": lambda k: hl.admissibility_check(
+        OP, V, E, ONES, ONES, GRID, (1.0, k)),
+    "exhaustion_divergence_probe": lambda k: hl.exhaustion_divergence_probe(
+        [(G, V)], ks=(1.0, k)),
+}
+BAD_LEVELS = {"'abc'": "abc", "None": None}
 
 # evaluator -> its call on an operator built from S alone, without a graph
-BARE = hl.OperatorRep(S=OP.S, m=OP.m, lower_bound=OP.lower_bound)
+BARE = hl.OperatorRep(S=OP.S, m=OP.m)
 VERTEX_READERS = {
     "kernel_column": lambda: hl.kernel_column(BARE, 1.0, 0),
     "rate_kernel": lambda: hl.rate_kernel(BARE, 0, 1, GRID),
@@ -170,6 +189,22 @@ def _cases():
         yield pytest.param(lambda N=N: hl.shift_model(0.25, N),
                            ValidationError, f"truncation size N = {N} is not",
                            id=f"shift_model/size {kind}")
+    for kind, count in BAD_COUNTS.items():
+        yield pytest.param(
+            lambda count=count: hl.TimeGrid.geometric(1.0, 1.5, count),
+            ValidationError, f"count = {count} is not an integer >= 3",
+            id=f"TimeGrid.geometric/count {kind}")
+    for kind, margin in BAD_MARGINS.items():
+        yield pytest.param(
+            lambda margin=margin: hl.exhaustion_divergence_probe(
+                [(G, V)], margin),
+            ValidationError, f"margin = {margin} is not a finite number",
+            id=f"exhaustion_divergence_probe/margin {kind}")
+    for reader, call in LEVEL_READERS.items():
+        for kind, k in BAD_LEVELS.items():
+            yield pytest.param(lambda call=call, k=k: call(k), ValidationError,
+                               f"truncation level {k} is not a number >= 0",
+                               id=f"{reader}/level {kind}")
     for field in ("m", "c"):
         for kind, size in (("short", 2), ("long", 4)):
             yield pytest.param(
@@ -194,6 +229,13 @@ def test_trotter_takes_python_and_numpy_integer_step_counts():
     want = hl.trotter(OP, V, 1.0, 4, ONES)
     for n in (np.int64(4), np.int32(4), np.uint8(4)):
         assert hl.trotter(OP, V, 1.0, n, ONES).tobytes() == want.tobytes()
+
+
+def test_geometric_grid_takes_python_and_numpy_integer_counts():
+    want = hl.TimeGrid.geometric(1.0, 1.5, 4).times
+    for count in (np.int64(4), np.int32(4), np.uint8(4)):
+        assert hl.TimeGrid.geometric(1.0, 1.5, count).times.tobytes() == (
+            want.tobytes())
 
 
 VERTICES = [{"id": "a"}, {"id": "b"}]

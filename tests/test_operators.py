@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 from scipy.special import logsumexp
 
-from heatlab import (SCALING_SQUARING, apply, assemble, build_graph,
-                     dirichlet_energy, operators)
+from heatlab import (KRYLOV, SCALING_SQUARING, SPECTRAL, apply, assemble,
+                     build_graph, dirichlet_energy, operators)
 from heatlab.errors import ValidationError, ZeroVector
 from heatlab.operators import (
     GROUPING_TOL,
@@ -38,17 +38,86 @@ def test_assemble_single_edge(single_edge_op):
     assert single_edge_op.lower_bound == 0.0
 
 
-def test_operator_holds_S_m_lower_bound_and_graph(rng):
+def test_operator_holds_S_m_and_graph(rng):
     g = random_graph(rng, n_max=12, c_scale=1.0)
     op = assemble(g)
     shifted = shift_by_potential(op, rng.uniform(0.5, 2.0, g.n))
     assert [f.name for f in dataclasses.fields(OperatorRep)] == [
-        "S", "m", "lower_bound", "graph"]
+        "S", "m", "graph"]
     for rep in (op, shifted):
         assert rep.n == rep.S.shape[0] == g.n
         # S is the one n x n array an operator holds
         assert [k for k, v in vars(rep).items()
                 if isinstance(v, np.ndarray) and v.ndim == 2] == ["S"]
+
+
+def test_operator_data_are_read_only_views(rng):
+    g = random_graph(rng, n_max=12, c_scale=1.0)
+    op = assemble(g)
+    S, m = rng.standard_normal((g.n, g.n)), rng.uniform(0.5, 2.0, g.n)
+    bare = OperatorRep(S=S, m=m)
+    for rep in (op, shift_by_potential(op, rng.uniform(0.5, 2.0, g.n)), bare):
+        for data in (rep.S, rep.m):
+            with pytest.raises(ValueError):
+                data[0] += 5.0
+    # the caller's own arrays are left as they were, and are not copied
+    assert S.flags.writeable and m.flags.writeable
+    assert np.shares_memory(bare.S, S) and np.shares_memory(op.m, g.m)
+
+
+def _m_spread_path(rng, n=40):
+    """Weighted path with m spread over 1e-4..1e4 and c > 0 on a third."""
+    edges = [(i, i + 1, float(w))
+             for i, w in enumerate(rng.uniform(0.2, 2.0, n - 1))]
+    c = np.where(rng.random(n) < 1 / 3, rng.uniform(0.1, 2.0, n), 0.0)
+    return build_graph(n, edges, m=10.0 ** rng.uniform(-4, 4, n), c=c)
+
+
+def _bound_families(rng, stiff_star_op):
+    """(operator, min c/m or None for S alone) over the bound's families."""
+    for _ in range(5):
+        g = random_graph(rng, n_max=30)
+        g = build_graph(g.n, g.edges, m=g.m, c=rng.uniform(0.1, 2.0, g.n))
+        yield assemble(g), np.min(g.c / g.m)
+    for _ in range(3):
+        g = _m_spread_path(rng)
+        yield assemble(g), np.min(g.c / g.m)
+    yield stiff_star_op, np.min(stiff_star_op.graph.c / stiff_star_op.graph.m)
+    for _ in range(3):
+        g = random_graph(rng, n_max=30, c_scale=1.0)
+        V = rng.uniform(0.0, 10.0, g.n)
+        yield shift_by_potential(assemble(g), V), np.min(g.c / g.m - V)
+    n = 25
+    X = rng.uniform(0.1, 1.0, (n, n))
+    yield OperatorRep(S=X + X.T, m=rng.uniform(0.5, 2.0, n)), None
+
+
+def test_lower_bound_is_certified_and_min_c_over_m(rng, stiff_star_op):
+    for op, floor in _bound_families(rng, stiff_star_op):
+        tol = 1e-12 * op.s_norm1
+        assert op.lower_bound <= np.linalg.eigvalsh(op.S)[0] + tol
+        if floor is not None:
+            assert abs(op.lower_bound - floor) <= tol
+
+
+def test_lower_bound_weighs_the_radii_by_the_measure(rng):
+    # the Gershgorin bound of S itself, without the sqrt(m_y / m_x)
+    # weights, is certified too but far from min c/m once m spreads
+    op = assemble(_m_spread_path(rng))
+    S = op.S
+    plain = np.min(2 * np.diag(S) - np.sum(np.abs(S), axis=1))
+    floor = np.min(op.graph.c / op.m)
+    assert abs(op.lower_bound - floor) <= 1e-12 * op.s_norm1
+    assert abs(plain - floor) > 1e-12 * op.s_norm1
+
+
+def test_krylov_matches_spectral_on_the_bound_families(rng, stiff_star_op):
+    for op, _ in _bound_families(rng, stiff_star_op):
+        f = random_vector(rng, op.n)
+        for t in (0.5, 5.0):
+            want = apply(op, t, f, SPECTRAL)
+            got = apply(op, t, f, KRYLOV)
+            assert op.norm(got - want) <= 1e-9 * op.norm(want)
 
 
 def _unit_time_exponential(op):
@@ -203,14 +272,14 @@ def test_eigenvector_signs_match_loop_reference(rng):
         S = X + X.T
         m = rng.uniform(0.5, 2.0, n)
         # eigendecompose reads only S and m
-        ops.append(OperatorRep(S=S, m=m, lower_bound=-np.inf))
+        ops.append(OperatorRep(S=S, m=m))
     # nearly decoupled blocks: leading entries below the 1e-12 cut
     n = 30
     S = scipy.linalg.block_diag(*(X + X.T for X in
                                   rng.standard_normal((2, n, n))))
     C = rng.standard_normal((2 * n, 2 * n))
     S += 1e-15 * (C + C.T)
-    ops.append(OperatorRep(S=S, m=np.ones(2 * n), lower_bound=-np.inf))
+    ops.append(OperatorRep(S=S, m=np.ones(2 * n)))
     # eigenvectors of one component vanish on the other: leading zeros
     ops += [assemble(_disjoint_union(random_graph(rng, n_max=10),
                                      random_graph(rng, n_max=10)))
@@ -350,7 +419,7 @@ def test_dense_solver_size_cutoff():
 
     n = DENSE_LIMIT + 1
     d = np.ones(n)
-    op = OperatorRep(S=np.diag(d), m=np.ones(n), lower_bound=0.0, graph=None)
+    op = OperatorRep(S=np.diag(d), m=np.ones(n), graph=None)
     with pytest.raises(ValueError):
         eigendecompose(op)
 

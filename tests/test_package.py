@@ -216,6 +216,7 @@ RULE_ERRORS = {
     "potential": ("potential must have shape", "potential V is not finite"),
     "record": (" is not an object", " has no field ",
                ", which is not a number", " has the id "),
+    "level": ("truncation level ",),
 }
 
 
@@ -251,8 +252,9 @@ def _rule_raisers(tree, module) -> dict[str, list[str]]:
 
 
 def test_each_input_rule_has_one_raiser():
-    # a time, a vertex function, a potential and an input file's records
-    # are each checked in one public home, so the rules cannot drift apart
+    # a time, a vertex function, a potential, an input file's records and
+    # a truncation level are each checked in one home, so the rules cannot
+    # drift apart
     probe = ast.parse(
         "def f(t):\n"
         "    def g():\n"
@@ -260,7 +262,7 @@ def test_each_input_rule_has_one_raiser():
         "    raise ValueError(f'datum {t} must have shape')\n")
     assert _rule_raisers(probe, "probe") == {
         "time": ["probe.g"], "datum": ["probe.f"], "potential": [],
-        "record": []}
+        "record": [], "level": []}
     raisers = {rule: [] for rule in RULE_ERRORS}
     readers = []
     for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
@@ -276,7 +278,8 @@ def test_each_input_rule_has_one_raiser():
     assert raisers == {"time": ["semigroup.check_time"],
                        "datum": ["operators.checked_datum"],
                        "potential": ["operators.checked_potential"],
-                       "record": ["graphs.read_section"]}
+                       "record": ["graphs.read_section"],
+                       "level": ["perturbation._levels"]}
     assert readers == ["operators.checked_potential"]
 
 
