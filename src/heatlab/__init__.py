@@ -51,8 +51,8 @@ from .semigroup import (
     heat_kernel,
     kernel_column,
     kernel_symmetry_defect,
-    pade13_expm,
     resolvent,
+    series_expm,
     trotter,
 )
 from .reference import OracleReport, TaylorExpm, rayleigh_min, taylor_expm
@@ -111,7 +111,7 @@ __all__ = [
     "spectral_measure", "decay_factors", "kernel_sum", "log_sum_exp",
     "SemigroupMethod", "SPECTRAL", "SCALING_SQUARING", "KRYLOV",
     "HeatKernel", "apply", "heat_kernel", "kernel_column",
-    "kernel_symmetry_defect", "chapman_kolmogorov_defect", "pade13_expm",
+    "kernel_symmetry_defect", "chapman_kolmogorov_defect", "series_expm",
     "resolvent", "trotter",
     "OracleReport", "TaylorExpm", "taylor_expm", "rayleigh_min",
     "TimeGrid", "RateEstimate", "GroundStateProfile", "rate_inner",

@@ -51,8 +51,8 @@ from .operators import (
     eigendecompose,
     power_of_two_scale,
 )
-from .semigroup import (SCALING_SQUARING, heat_kernel, kernel_column,
-                        resolvent)
+from .semigroup import (SCALING_SQUARING, check_count, heat_kernel,
+                        kernel_column, resolvent)
 
 __all__ = [
     "TimeGrid",
@@ -99,9 +99,7 @@ class TimeGrid:
     def geometric(cls, t0: float = 1.0, ratio: float = 1.5,
                   count: int = 20) -> "TimeGrid":
         """Times t0 ratio^j, j < count, count an integer >= 3."""
-        if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-                or count < 3):
-            raise ValidationError(f"count = {count} is not an integer >= 3")
+        check_count(count, "count", 3)
         if t0 <= 0 or ratio <= 1:
             raise ValidationError("need t0 > 0 and ratio > 1")
         return cls(t0 * ratio ** np.arange(count))

@@ -71,6 +71,10 @@ class OperatorRep:
     ``S`` is the symmetrization D_m^{1/2} L D_m^{-1/2} and ``m`` the
     vertex measure, both held as read-only views (the caller's arrays
     are left as they were), so nothing derived from them goes stale.
+    Built without a graph, S must be square, finite and exactly
+    symmetric, and m of shape (n,), finite and > 0, else ValidationError
+    naming the field; the operators built from a graph are valid by
+    construction and skip that O(n^2) check.
     Quantities derived from them are computed on first read and kept on
     the operator: ``s_norm1``, ``S_csr``, ``lower_bound``, the eigendata
     behind :func:`eigendecompose` and, by :meth:`held`, e^{-S}.
@@ -84,6 +88,8 @@ class OperatorRep:
         for name, data in (("S", self.S), ("m", self.m)):
             object.__setattr__(self, name, np.asarray(data).view())
             getattr(self, name).setflags(write=False)
+        if self.graph is None:
+            _check_fields(self.S, self.m)
 
     @property
     def n(self) -> int:
@@ -123,8 +129,9 @@ class OperatorRep:
 
         Built on first read and kept on the operator, like
         :attr:`s_norm1`; the sparse routes of :mod:`heatlab.semigroup`
-        (the Padé build from order 256 on and every Krylov solve) read
-        this one object.  scipy.sparse is imported here, at first read.
+        (the series exponential from order 256 on and every Krylov
+        solve) read this one object.  scipy.sparse is imported here, at
+        first read.
         """
         from scipy.sparse import csr_array
         return csr_array(self.S)
@@ -160,6 +167,21 @@ class OperatorRep:
         phi[:, flip] = -phi[:, flip]
         return SpectralData(eigenvalues=w, vectors=phi, m=self.m,
                             E0=float(w[0]), groups=_group_eigenvalues(w))
+
+
+def _check_fields(S: np.ndarray, m: np.ndarray) -> None:
+    """ValidationError naming S or m, unless S is square, finite and
+    symmetric and m has shape (n,) and is finite and > 0."""
+    n = S.shape[0] if S.ndim == 2 else -1
+    for field, bad in (
+            ("S", S.shape != (n, n) and f"has shape {S.shape}, not (n, n)"),
+            ("S", not np.all(np.isfinite(S)) and "is not finite"),
+            ("S", not np.array_equal(S, S.T) and "is not symmetric"),
+            ("m", m.shape != (n,) and f"has shape {m.shape}, not ({n},)"),
+            ("m", not np.all(np.isfinite(m) & (m > 0))
+             and "is not finite and > 0")):
+        if bad:
+            raise ValidationError(f"operator field {field} {bad}")
 
 
 def _m_norm(u, m) -> float:

@@ -7,20 +7,19 @@ Three interchangeable evaluators are provided and must agree within
     sum_i e^{-t E_i} <phi_i, f>_m phi_i on the m-orthonormal eigenvectors
     that :func:`~heatlab.operators.eigendecompose` keeps; the default.
 ``scaling-squaring``
-    13th-order diagonal rational approximant of the matrix exponential,
-    input scaled so the scaled 1-norm is below 5.37, then repeatedly
-    squared.  From n = 256 on, the approximant's numerator and denominator
-    are built from the operator's held ``S_csr``, in sparse products while
-    they stay below a tenth fill (long-diameter graphs); the solve and the
-    squarings are dense, and before each squaring of sparse-built factors
-    the entries below sqrt(tiny) max|F| are set to 0, which keeps the
-    squarings out of subnormal arithmetic.
+    :func:`series_expm`: the degree-24 Taylor series of e^N, N = d - tS
+    >= 0 with d = t max(0, max diag S), scaled to ||N||_1 <= 2 and squared
+    back, so that no term cancels.  From n = 256 on, it is built from the
+    operator's held ``S_csr``, in sparse products while they stay below a
+    tenth fill (long-diameter graphs); the squarings are dense, each after
+    the entries below sqrt(tiny) max|F| are set to 0, which keeps them out
+    of subnormal arithmetic.
     e^{-S} is held on its operator once computed.  :func:`apply` returns
     F^j v: at a whole time j, F = e^{-S}; at any other time, F is the
-    approximant with its last k squarings still to do and j = 2^k.  A copy
+    exponential with its last k squarings still to do and j = 2^k.  A copy
     of F is squared, floored the same way, only while j exceeds 2^K
     matrix-vector products, K = floor(log2 n) - 1 >= k.
-    :func:`heat_kernel` at t != 1 always runs its own Padé chain.
+    :func:`heat_kernel` at t != 1 always runs its own chain.
 ``krylov``
     Shift-and-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
     Comput. 27, 2006): one pass of at most 60 steps on solves with
@@ -75,33 +74,28 @@ __all__ = [
     "resolvent",
     "trotter",
     "check_time",
-    "pade13_expm",
+    "check_count",
+    "series_expm",
 ]
 
-# largest scaled 1-norm for which the degree-13 approximant is accurate
-_THETA13 = 5.371920351148152
-
-# normalized to b_0 = 1 so that e^0 = I exactly, whether the BLAS triangular
-# solve divides by each pivot or multiplies by its rounded reciprocal
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-])
-_PADE13 = _PADE13 / _PADE13[0]
-# a Padé power or factor that stores more than this share of its n^2
-# entries is converted to dense.  Factor builds timed on 27 banded
-# weighted Laplacians (n = 300-700, factors 4-100 % full; scipy 1.17,
-# 2 vCPU) summed to 530-535 ms at 0.075-0.125, 578 ms at 0.05 and 645 ms
-# at 0.25 (worst graph 97 ms against 42 ms at 0.1).  Short-diameter
-# graphs, whose powers fill within a few products (random graphs by M^4),
-# fall back to BLAS-3; the factors of long paths and discretized metric
-# graphs stay a few percent full
+# the series sums N^k / k!, k <= 24, of ||N||_1 <= 2: the terms left out
+# have a 1-norm below sum_{k > 24} 2^k / k! < 3e-18, and e^N >= I for
+# N >= 0.  Paterson-Stockmeyer in blocks of five: N^2 .. N^5 and four
+# Horner steps in N^5 take eight products, a term-by-term sum 24
+_THETA = 2.0
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(25)])
+_BLOCK = 5
+# a power or partial sum of the series that stores more than this share of
+# its n^2 entries is converted to dense.  Series of e^{-S} timed on weighted
+# paths (n = 300-700) and discretized stars (n = 298-478; scipy 1.17,
+# 2 vCPU) summed to 152 ms at 0.1, 151 ms at 0.2 and 154 ms at 0.05.
+# Short-diameter graphs, whose powers fill within a few products (random
+# graphs by N^4), fall back to BLAS-3; on a path the partial sums reach
+# band width 24 on each side, below a tenth fill from n = 490 on
 _DENSE_FILL = 0.1
 # entries below this share of max |F| are set to 0 before each squaring of
-# sparse-built factors.  Squaring e^{-tS / 2^s} of a long path or a
-# discretized metric graph otherwise runs in subnormal arithmetic: on a
+# a series built from sparse input.  Squaring e^{-tS / 2^s} of a long path
+# or a discretized metric graph otherwise runs in subnormal arithmetic: on a
 # weighted path with n = 700 a fifth of its entries lie in 1e-324..1e-154,
 # and a squaring took 46 ms against 8.7 ms with them zeroed (2 vCPU).  The
 # cut is sqrt(tiny), not tiny: products of two entries below sqrt(tiny)
@@ -112,10 +106,10 @@ _SQUARING_FLOOR = math.sqrt(np.finfo(float).tiny)
 # 100 eps t ||S||_1 >= 1 leaves no evaluator a correct digit
 # (_check_resolution)
 _ROUNDING = 100 * np.finfo(float).eps
-# below this order _exponential hands S to the Padé build dense: the ~30
-# scipy.sparse calls of a sparse build cost 0.6-2.5 ms whatever the size,
-# and a dense build on a weighted path breaks even with the sparse one
-# near n = 192 with one BLAS thread, later with two
+# below this order _exponential hands S to the series dense: the ~60
+# scipy.sparse calls of a sparse build cost some 2.7 ms at n = 128, where a
+# dense one takes 1.7 ms, and on a weighted path the two break even near
+# n = 192 (2 vCPU)
 _SPARSE_MIN_N = 256
 # step cap and tolerance of the shift-and-invert Lanczos pass; the
 # benchmark graphs took <= 35 steps, random graphs (n <= 300) <= 40
@@ -151,31 +145,6 @@ def _fit(P):
     return P
 
 
-def _pade13_factors(M):
-    """(V + U, V - U): numerator and denominator of the degree-13 diagonal
-    Padé approximant of e^M, evaluated in M's own format.
-
-    An ndarray M gives ndarrays.  A scipy.sparse M keeps its powers and
-    factors sparse until one of them stores more than a tenth of its
-    entries (``_DENSE_FILL``); from that power on the evaluation is dense.
-    """
-    b = _PADE13
-    n = M.shape[0]
-    if isinstance(M, np.ndarray):
-        ident = np.eye(n)
-    else:
-        from scipy.sparse import eye_array
-        ident = eye_array(n, format="csr")
-    M2 = _fit(M @ M)
-    M4 = _fit(M2 @ M2)
-    M6 = _fit(M2 @ M4)
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
-    return _fit(V + U), _fit(V - U)
-
-
 def _floor(F: np.ndarray) -> None:
     """Set the entries of F below ``_SQUARING_FLOOR`` max|F| to 0, in place.
 
@@ -187,51 +156,60 @@ def _floor(F: np.ndarray) -> None:
     np.putmask(F, size < _SQUARING_FLOOR * size.max(), 0.0)
 
 
-def pade13_expm(M) -> tuple[np.ndarray, int]:
-    """Matrix exponential e^M by scaling and squaring.
+def _halvings(norm: float):
+    """The least s >= 0 with norm / 2^s <= 2, inf for a norm that is not
+    finite: the one scaling rule of :func:`series_expm` and
+    :func:`_squarings`."""
+    if norm <= _THETA:
+        return 0
+    return math.ceil(math.log2(norm / _THETA)) if norm < math.inf \
+        else math.inf
 
-    Returns the exponential, always a dense ndarray, together with the
-    squaring count.  Works for general square matrices, given as an
-    ndarray or in a scipy.sparse format; the degree-13 diagonal
-    approximant is used unconditionally, with the input scaled down until
-    its 1-norm is at most 5.37.  A sparse M has its Padé factors built in
-    sparse products while they stay sparse (see :func:`_pade13_factors`);
-    the solve and the squarings are dense.  When the factors stayed
-    sparse, entries of F below sqrt(tiny) max|F| are set to 0 before each
-    squaring, which keeps a long path's far entries out of subnormal
-    arithmetic (see ``_SQUARING_FLOOR``).  Dense M, and factors that
-    filled, are squared as they are.  The zero matrix maps to the identity
-    exactly, with 0 squarings.
+
+def series_expm(M) -> tuple[np.ndarray, int]:
+    """e^M, a dense ndarray, and its squaring count s, for M an ndarray or
+    a scipy.sparse matrix.
+
+    With d = max(0, -min diag M) and N = M + dI, e^M = e^{-d} e^N: the
+    degree-24 Taylor polynomial of N / 2^s, s = :func:`_halvings` of
+    ||N||_1, is summed by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973),
+    multiplied by e^{-d/2^s} and squared s times.  Where M has no negative
+    entry off its diagonal, as -tS and the shift model's t L1 have not,
+    N >= 0 and every sum and product adds non-negative numbers (Xue and
+    Ye, Math. Comp. 82, 2013): e^M has no negative entry, and pairs that
+    only terms past degree 24 reach are exactly 0 before the squarings.
+    A sparse M keeps its powers and partial sums sparse below a tenth fill
+    (``_DENSE_FILL``), and F is floored (``_SQUARING_FLOOR``) before each
+    squaring; a dense M is squared as it is.  The zero matrix maps to the
+    identity exactly, with s = 0.
     """
     sparse = False
-    if not isinstance(M, np.ndarray):
-        # only non-ndarray input pays the scipy.sparse import
-        from scipy.sparse import issparse
+    if not isinstance(M, np.ndarray):  # only this input imports scipy
+        from scipy.sparse import csr_array, eye_array, issparse
         sparse = issparse(M)
-    if sparse:
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import norm as sparse_norm
-        M = csr_array(M, dtype=float)
-        norm = sparse_norm(M, 1)
-    else:
-        M = np.asarray(M, dtype=float)
-        norm = np.linalg.norm(M, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(math.ceil(math.log2(norm / _THETA13)))
-        M = M / (2.0 ** squarings)
-    P, Q = _pade13_factors(M)
-    floor = not isinstance(P, np.ndarray) and not isinstance(Q, np.ndarray)
-    if not isinstance(P, np.ndarray):
-        P = P.toarray()
-    if not isinstance(Q, np.ndarray):
-        Q = Q.toarray()
-    F = np.linalg.solve(Q, P)
-    for _ in range(squarings):
-        if floor:
+    M = csr_array(M, dtype=float) if sparse else np.asarray(M, dtype=float)
+    ident = eye_array(M.shape[0]) if sparse else np.eye(len(M))
+    d = max(0.0, -float(M.diagonal().min()))
+    N = M + d * ident
+    s = _halvings(float(abs(N).sum(axis=0).max()))
+    if s == math.inf:
+        raise NumericsError("series_expm: M + dI has no finite 1-norm")
+    if s:
+        N = N / 2.0 ** s
+    powers = [ident, N]
+    for _ in range(_BLOCK - 1):
+        powers.append(_fit(powers[-1] @ N))
+    top, F = powers.pop(), None  # N^5
+    for j in reversed(range(0, len(_TAYLOR), _BLOCK)):
+        block = sum(c * P for c, P in zip(_TAYLOR[j:], powers))
+        F = block if F is None else _fit(top @ F + block)
+    F = F if isinstance(F, np.ndarray) else F.toarray()
+    F *= math.exp(-d / 2.0 ** s)
+    for _ in range(s):
+        if sparse:
             _floor(F)
         F = F @ F
-    return F, squarings
+    return F, s
 
 
 def _check_resolution(norm: float, where: str) -> None:
@@ -250,18 +228,15 @@ def _check_resolution(norm: float, where: str) -> None:
 
 
 def _squarings(op: OperatorRep, t: float):
-    """s, the squaring count of e^{-tS}.
+    """s, the squaring count of e^{-tS}: :func:`_halvings` of t ||dI - S||_1,
+    d = max(0, max diag S), the norm :func:`series_expm` scales (held on op).
 
     Raises NumericsError when 100 eps t ||S||_1 >= 1 (see
-    :func:`_check_resolution`), in particular when t ||S||_1 overflows,
-    which no scaling can bring into the approximant's range (s = inf).
+    :func:`_check_resolution`), in particular when t ||S||_1 overflows.
     """
-    norm = t * op.s_norm1
-    s = 0
-    if norm > _THETA13:
-        s = (math.ceil(math.log2(norm / _THETA13)) if math.isfinite(norm)
-             else math.inf)
-    _check_resolution(norm,
+    s = _halvings(t * op.held("||dI - S||_1", lambda: float(np.linalg.norm(
+        max(0.0, op.S.diagonal().max()) * np.eye(op.n) - op.S, 1))))
+    _check_resolution(t * op.s_norm1,
                       f"scaling-squaring at t = {t} with s = {s} squarings")
     return s
 
@@ -276,9 +251,9 @@ def _finite(x: np.ndarray, t: float, method: SemigroupMethod) -> np.ndarray:
 
 
 def _exponential(op: OperatorRep, t: float) -> np.ndarray:
-    """e^{-tS} by :func:`pade13_expm`; at t = 1 read-only and held on op.
+    """e^{-tS} by :func:`series_expm`; at t = 1 read-only and held on op.
 
-    The one place S reaches the Padé build, in CSR from order
+    The one place S reaches the series, in CSR from order
     ``_SPARSE_MIN_N`` on, after :func:`_squarings` has checked t.  Only
     t = 1 recurs in the library (whole-time :func:`apply`, kernel
     functions, the factorization identity, positivity), so e^{-S} is held
@@ -288,7 +263,7 @@ def _exponential(op: OperatorRep, t: float) -> np.ndarray:
 
     def build():
         _squarings(op, t)
-        E, _ = pade13_expm((op.S_csr if sparse else op.S) * -t)
+        E, _ = series_expm((op.S_csr if sparse else op.S) * -t)
         E.setflags(write=t != 1.0)  # only the held e^{-S} is read-only
         return E
     return op.held("exp(-S)", build) if t == 1.0 else build()
@@ -307,7 +282,7 @@ def _powered_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     At a whole time, F = e^{-S}, built and kept by :func:`_exponential`,
     and j = t.  At any other time, F = ``_exponential(op, t / 2^k)`` with
     k = min(s, :func:`_vector_squarings`) and j = 2^k: dividing t by 2^k is
-    exact, so F is bit-for-bit the matrix that ``pade13_expm(-tS)`` holds
+    exact, so F is bit-for-bit the matrix that ``series_expm(-tS)`` holds
     with k of its s squarings still to do.  While j exceeds the budget of
     2^K matrix-vector products, K = :func:`_vector_squarings`, j is halved,
     the bit it drops goes to the vector, and a copy of F is squared, its
@@ -354,7 +329,7 @@ def _krylov_apply(op: OperatorRep, t: float, v: np.ndarray) -> np.ndarray:
     if beta0 == 0:
         return np.zeros(n)
     gamma, sigma = t / 10, op.lower_bound
-    # the Krylov route, like the sparse Padé build, pays the scipy import
+    # the Krylov route, like the sparse series, pays the scipy import
     # at first use
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse import eye_array
@@ -424,6 +399,17 @@ def check_time(t: float, positive: bool) -> None:
         raise NegativeTime(f"t = {t} < 0")
 
 
+def check_count(value, name: str, low: int, high: int | None = None
+                ) -> None:
+    """The one home of the count rule: ``value`` is a Python or numpy
+    integer, not a bool, from low to high (if given), else ValidationError
+    naming it as ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValidationError(f"{name} = {value} is not an integer {bounds}")
+
+
 def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
           ) -> np.ndarray:
     """Evaluate e^{-tL} f.
@@ -438,7 +424,7 @@ def apply(op: OperatorRep, t: float, f, method: SemigroupMethod | None = None
     method : SemigroupMethod, optional
         Defaults to the spectral path.  Scaling-squaring returns F^j f:
         at a whole time j, F = e^{-S}, built on first use and held on the
-        operator; at any other time, F is the Padé approximant with its
+        operator; at any other time, F is the series exponential with its
         last k squarings left to the 2^k matrix-vector products j = 2^k.
 
     Raises
@@ -495,7 +481,7 @@ def heat_kernel(op: OperatorRep, t: float,
     :func:`~heatlab.operators.kernel_sum`); with
     scaling-squaring p_t = D^{-1/2} e^{-tS} D^{-1/2}, where e^{-S} (t = 1)
     is the matrix held on the operator that whole-time :func:`apply` powers.
-    Every other t, whole times included, runs a fresh Padé chain and is
+    Every other t, whole times included, runs a fresh chain and is
     not cached, so that :func:`chapman_kolmogorov_defect` compares
     independent evaluations rather than powers of one matrix.  The
     returned ``p`` is always a fresh, writable array.  The Krylov method
@@ -606,9 +592,8 @@ def _inverse_factor(A: np.ndarray, X: np.ndarray) -> None:
     half is the Schur complement A22 - C21 C21^T and X21 = -X22 C21 X11.
     Only the rows of A21 that hold a nonzero enter: one on a path, a few
     on a discretized star, so long-diameter graphs cost O(n^2) above the
-    leaves.  When most rows couple (short diameter) the blocks multiply
-    whole, gathering nothing.  For an M-matrix C21 <= 0 and X >= 0, so
-    every off-diagonal block is a product of non-negative matrices.
+    leaves.  For an M-matrix C21 <= 0 and X >= 0, so every off-diagonal
+    block is a product of non-negative matrices.
     """
     n = A.shape[0]
     if n <= _TRIANGULAR_LEAF:
@@ -618,11 +603,8 @@ def _inverse_factor(A: np.ndarray, X: np.ndarray) -> None:
     X11, A22 = X[:h, :h], A[h:, h:]
     _inverse_factor(A[:h, :h], X11)
     r = np.flatnonzero(A[h:, :h].any(axis=1))
-    rr = np.ix_(r, r)
-    if 2 * len(r) > n - h:
-        r, rr = slice(None), np.s_[:, :]
     D = -A[h:, :h][r] @ X11.T  # -C21 on the coupled rows
-    A22[rr] -= D @ D.T
+    A22[np.ix_(r, r)] -= D @ D.T
     _inverse_factor(A22, X[h:, h:])
     np.matmul(X[h:, h:][:, r], D @ X11, out=X[h:, :h])
 
@@ -635,14 +617,11 @@ def trotter(op: OperatorRep, V, t: float, n: int, f) -> np.ndarray:
     on.  Each step expands in the stored m-orthonormal eigenbasis.  t,
     V and f are checked by :func:`check_time`,
     :func:`~heatlab.operators.checked_potential` and
-    :func:`~heatlab.operators.checked_datum` before any work, and a step
-    count n that is not a Python or numpy integer >= 1 raises
-    ValidationError.
+    :func:`~heatlab.operators.checked_datum` before any work, and the step
+    count n by :func:`check_count`.
     """
     check_time(t, positive=False)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(
-            f"trotter step count n = {n} is not an integer >= 1")
+    check_count(n, "trotter step count n", 1)
     V = checked_potential(V, op.n)
     f = checked_datum(f, op.n, "f")
     h = t / n

@@ -75,7 +75,7 @@ def stiff_star_op():
 @pytest.fixture
 def fine_star_op():
     """The same star at h = 0.008, large enough (n ~ 300) that the
-    scaling-squaring evaluator builds its Padé factors from sparse S."""
+    scaling-squaring evaluator builds its series from sparse S."""
     return _stiff_star(0.008)
 
 

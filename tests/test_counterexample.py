@@ -132,9 +132,12 @@ def test_doubling_truncation_is_stable():
 
 
 def test_positivity_improving_within_float_range():
-    # the smallest entry of e^{t L1} is ~t^{N-1}/(N-1)!; N small enough
-    # (or t large enough) keeps it inside double range, where the
-    # strict verdict is reachable
+    # an entry of e^{t L1} reached only through the feedback entry
+    # L1[i, 0] = mu^{i+1} and k shift steps carries mu^{i+1} t^k / k!, not
+    # just t^k / k!: at N = 200 and t = 5, e^{5 L1}[199, 198] is about
+    # 1.2e-354 (a 40-digit series), below the smallest double, so the
+    # verdict cannot be read off the computed entries; it is decided on
+    # the pattern of L1
     assert is_positivity_improving_shift(shift_model(0.25, N=24), 1.0)
     assert is_positivity_improving_shift(shift_model(0.25, N=200), 5.0)
 
@@ -146,9 +149,36 @@ def test_positivity_pure_shift_never():
 
 
 def test_positivity_small_time_underflows_to_not_yet():
-    # at t -> 0+ the far corner ~t^{N-1}/(N-1)! sits below the smallest
-    # subnormal for N=200, so the verdict is "not yet improving"
-    assert not is_positivity_improving_shift(shift_model(0.25, N=200), 1e-8)
+    # at t -> 0+ the far corner ~t^{N-1}/(N-1)! sits far below the
+    # smallest subnormal for N = 200, yet it is positive: the feedback
+    # column makes the pattern of L1 strongly connected, so e^{t L1} > 0
+    # at every t > 0, while the bare shift never gets there
+    m = shift_model(0.25, N=200)
+    for t in (1e-8, 1.0, 5.0):
+        assert is_positivity_improving_shift(m, t) is True
+        assert is_positivity_improving_shift(m, t, shift_only=True) is False
+
+
+def test_positivity_shift_computes_no_exponential(monkeypatch):
+    import heatlab.counterexample as cx
+
+    def refused(M):
+        raise AssertionError("the positivity verdict computed e^(tM)")
+
+    monkeypatch.setattr(cx, "series_expm", refused)
+    for N in (1, 2, 24):
+        m = shift_model(1e-8, N=N)
+        assert is_positivity_improving_shift(m, 0.5)
+        assert is_positivity_improving_shift(m, 0.5, shift_only=True) == (
+            N == 1)
+
+
+def test_positivity_shift_reads_the_stored_pattern():
+    # at N = 2000, mu^k = 4^-k underflows to 0 from k = 538 on, so the last
+    # row of the stored L1 is zero and the last row of e^{t L1} is e_N
+    m = shift_model(0.25, N=2000)
+    assert not m.L1[-1].any() and m.L1[536, 0] > 0
+    assert not is_positivity_improving_shift(m, 1.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

@@ -16,6 +16,8 @@ One sweep over the input rules, each written once in the package:
 * ``build_graph``'s ``m`` and ``c`` hold one value per vertex;
 * a vertex is looked up in the operator's graph, so an operator built
   from S alone names its missing graph (``OperatorRep.vertex_index``);
+* an operator built from S and m alone has a square, finite, symmetric S
+  and an m of shape (n,), finite and > 0 (``OperatorRep``);
 * an input file (weighted graph, metric graph, potential) is an object
   whose sections are lists of objects, with every required field present,
   every number field read by ``float`` and ids unique
@@ -144,6 +146,20 @@ VERTEX_READERS = {
         lambda: hl.kernel_factorization_defects(BARE, 0, 1, GRID)),
 }
 
+# (S, m) of an operator built without a graph -> the field its error names
+BAD_FIELDS = {
+    "non-square S": (np.ones((3, 2)), ONES, r"field S has shape \(3, 2\)"),
+    "nan S": (np.where(np.eye(3) > 0, np.nan, OP.S), ONES,
+              "field S is not finite"),
+    "inf S": (np.where(np.eye(3) > 0, np.inf, OP.S), ONES,
+              "field S is not finite"),
+    "asymmetric S": (np.triu(OP.S), ONES, "field S is not symmetric"),
+    "short m": (OP.S, np.ones(2), r"field m has shape \(2,\), not \(3,\)"),
+    "nan m": (OP.S, [1.0, np.nan, 1.0], "field m is not finite and > 0"),
+    "zero m": (OP.S, [1.0, 0.0, 1.0], "field m is not finite and > 0"),
+    "negative m": (OP.S, [1.0, -1.0, 1.0], "field m is not finite and > 0"),
+}
+
 # scalars outside the three rules, each checked by its one reader
 SCALAR_CASES = {
     "resolvent/nan alpha": (lambda: hl.resolvent(OP, np.nan),
@@ -215,6 +231,9 @@ def _cases():
     for reader, call in VERTEX_READERS.items():
         yield pytest.param(call, ValueError, "operator carries no graph",
                            id=f"{reader}/no graph")
+    for kind, (S, m, match) in BAD_FIELDS.items():
+        yield pytest.param(lambda S=S, m=m: hl.OperatorRep(S=S, m=m),
+                           ValidationError, match, id=f"OperatorRep/{kind}")
     for case, (call, error, match) in SCALAR_CASES.items():
         yield pytest.param(call, error, match, id=case)
 

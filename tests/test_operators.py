@@ -54,7 +54,8 @@ def test_operator_holds_S_m_and_graph(rng):
 def test_operator_data_are_read_only_views(rng):
     g = random_graph(rng, n_max=12, c_scale=1.0)
     op = assemble(g)
-    S, m = rng.standard_normal((g.n, g.n)), rng.uniform(0.5, 2.0, g.n)
+    X, m = rng.standard_normal((g.n, g.n)), rng.uniform(0.5, 2.0, g.n)
+    S = X + X.T  # an operator built without a graph checks that S = S^T
     bare = OperatorRep(S=S, m=m)
     for rep in (op, shift_by_potential(op, rng.uniform(0.5, 2.0, g.n)), bare):
         for data in (rep.S, rep.m):

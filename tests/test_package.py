@@ -159,9 +159,9 @@ def test_each_module_cache_has_one_home():
 
 
 def test_sparse_cut_off_has_one_reader():
-    # the dense/sparse switch of S is the Padé build's alone: the Krylov
-    # route factors by sparse LU at every order, so _SPARSE_MIN_N is read
-    # only where S is handed to pade13_expm
+    # the dense/sparse switch of S is the series exponential's alone: the
+    # Krylov route factors by sparse LU at every order, so _SPARSE_MIN_N
+    # is read only where S is handed to series_expm
     cut_off = "_SPARSE_MIN_N"
 
     def reads(node):
@@ -217,6 +217,7 @@ RULE_ERRORS = {
     "record": (" is not an object", " has no field ",
                ", which is not a number", " has the id "),
     "level": ("truncation level ",),
+    "count": (" is not an integer ",),
 }
 
 
@@ -252,9 +253,9 @@ def _rule_raisers(tree, module) -> dict[str, list[str]]:
 
 
 def test_each_input_rule_has_one_raiser():
-    # a time, a vertex function, a potential, an input file's records and
-    # a truncation level are each checked in one home, so the rules cannot
-    # drift apart
+    # a time, a vertex function, a potential, an input file's records, a
+    # truncation level and an integer count are each checked in one home,
+    # so the rules cannot drift apart
     probe = ast.parse(
         "def f(t):\n"
         "    def g():\n"
@@ -262,7 +263,7 @@ def test_each_input_rule_has_one_raiser():
         "    raise ValueError(f'datum {t} must have shape')\n")
     assert _rule_raisers(probe, "probe") == {
         "time": ["probe.g"], "datum": ["probe.f"], "potential": [],
-        "record": [], "level": []}
+        "record": [], "level": [], "count": []}
     raisers = {rule: [] for rule in RULE_ERRORS}
     readers = []
     for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
@@ -279,7 +280,8 @@ def test_each_input_rule_has_one_raiser():
                        "datum": ["operators.checked_datum"],
                        "potential": ["operators.checked_potential"],
                        "record": ["graphs.read_section"],
-                       "level": ["perturbation._levels"]}
+                       "level": ["perturbation._levels"],
+                       "count": ["semigroup.check_count"]}
     assert readers == ["operators.checked_potential"]
 
 
@@ -343,3 +345,48 @@ def test_self_checks_form_no_kernel_matrix():
     assert calls.keys() == checks
     assert {name: sorted(found & {"kernel_sum", "heat_kernel"})
             for name, found in calls.items()} == {name: [] for name in checks}
+
+
+def _calls_of(name) -> list[str]:
+    """``module.function`` of each call of ``name`` in the package, by its
+    bare name or as an attribute; a call in a nested function counts for
+    the module-level function around it."""
+    callers = []
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [f"{path.stem}.{fn.name}"
+                            for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == name]
+    return callers
+
+
+def test_one_matrix_exponential():
+    # the series exponential is the package's one builder of e^M: no name
+    # is left of the Padé approximant it replaced, semigroup runs no dense
+    # solve, and the series' callers are the held or fresh e^{-tS} and the
+    # two orbit routes of the shift model; the positivity verdict on the
+    # shift model reads the pattern of L1, not an exponential
+    package = Path(heatlab.__file__).parent
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    assert sorted(name for name in names if "pade" in name.lower()) == []
+    tree = ast.parse((package / "semigroup.py").read_text())
+    assert [ast.unparse(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.linalg.solve"] == []
+    assert sorted(_calls_of("series_expm")) == [
+        "counterexample.counterexample_rate", "counterexample.shift_orbit",
+        "semigroup._exponential"]

@@ -37,7 +37,7 @@ from heatlab.semigroup import (
     heat_kernel,
     kernel_column,
     kernel_symmetry_defect,
-    pade13_expm,
+    series_expm,
     resolvent,
     trotter,
 )
@@ -307,7 +307,7 @@ def test_pade13_against_dense_spectral():
     rng = np.random.default_rng(np.uint64(3))
     B = rng.standard_normal((12, 12))
     S = (B + B.T) / 2
-    F, squarings = pade13_expm(S)
+    F, squarings = series_expm(S)
     w, U = np.linalg.eigh(S)
     npt.assert_allclose(F, U @ np.diag(np.exp(w)) @ U.T, atol=1e-11)
     assert squarings >= 0
@@ -315,9 +315,136 @@ def test_pade13_against_dense_spectral():
 
 @pytest.mark.parametrize("n", [1, 2, 200])
 def test_pade13_of_zero_is_exact_identity(n):
-    F, squarings = pade13_expm(np.zeros((n, n)))
+    F, squarings = series_expm(np.zeros((n, n)))
     npt.assert_array_equal(F, np.eye(n))
     assert squarings == 0
+
+
+def _unit_path(n):
+    return assemble(build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)]))
+
+
+def _closed_form_unit_path(n, t):
+    """e^{-tS} of the unit path on n vertices, from its cosine eigenbasis
+    (eigenvalues 2 - 2 cos(pi k / n)), summed at 60 + 1.5 n digits so that
+    entries near 1e-80 come out exact to double precision."""
+    import mpmath
+    with mpmath.workdps(60 + 3 * n // 2):
+        C = [[mpmath.cos(mpmath.pi * k * (x + mpmath.mpf(1) / 2) / n)
+              for x in range(n)] for k in range(n)]
+        w = [(1 if k == 0 else 2) * mpmath.exp(
+            -t * (2 - 2 * mpmath.cos(mpmath.pi * k / n))) / n
+             for k in range(n)]
+        return np.array([[float(mpmath.fsum(w[k] * C[k][x] * C[k][y]
+                                            for k in range(n)))
+                          for y in range(n)] for x in range(n)])
+
+
+@pytest.mark.parametrize("n", [12, 60])
+@pytest.mark.parametrize("t", [1.0, 10.0, 37.5])
+def test_series_matches_the_closed_form_on_unit_paths(n, t):
+    # the series of N = d - tS >= 0 adds non-negative terms: its error is
+    # at rounding level against the largest entry, it never exceeds an
+    # entry by more than rounding, and it is exactly 0 for pairs further
+    # apart than the 24 2^s edges its terms reach; once every pair is
+    # within reach, every entry in the normal range is relatively accurate
+    op, eps = _unit_path(n), np.finfo(float).eps
+    F, s = series_expm(-t * op.S)
+    exact = _closed_form_unit_path(n, t)
+    normal = exact >= np.finfo(float).tiny
+    assert normal.all() and np.all(F >= 0)
+    scale = np.max(exact)
+    assert np.max(np.abs(F - exact)) <= (1e-14 + eps * t * op.s_norm1) * scale
+    assert np.all(F <= exact * (1 + 1e-12))
+    x, y = np.indices((n, n))
+    reach = 24 * 2 ** s
+    assert np.all((F > 0) == (np.abs(x - y) <= reach))
+    if reach >= n - 1:
+        assert np.max(np.abs(F - exact) / exact) <= 1e-11
+
+
+def test_series_matches_eigsy_on_a_stiff_star():
+    # a discretized star with Dirichlet leaves, ||S||_1 ~ 1.2e3: every
+    # entry of e^{-tS} against a 40-digit eigen-expansion
+    import mpmath
+    from conftest import _stiff_star
+    op, eps = _stiff_star(0.06), np.finfo(float).eps
+    assert 30 <= op.n <= 50
+    with mpmath.workdps(40):
+        w, U = mpmath.eigsy(mpmath.matrix(op.S.tolist()))
+        for t in (1.0, 100.0):
+            E = U * mpmath.diag([mpmath.exp(-t * w[k])
+                                 for k in range(op.n)]) * U.T
+            exact = np.array([[float(E[x, y]) for y in range(op.n)]
+                              for x in range(op.n)])
+            F, _ = series_expm(-t * op.S)
+            assert np.all(exact >= np.finfo(float).tiny) and np.all(F >= 0)
+            bound = 1e-13 + eps * t * op.s_norm1
+            assert np.max(np.abs(F - exact) / exact) <= bound
+
+
+def _graph_families(rng):
+    """One operator of every graph family these tests build."""
+    yield from (_unit_path(n) for n in (2, 12, 60))
+    yield from (_seeded_path(n) for n in (300, 700))
+    yield from (assemble(random_graph(rng, n_max=n, connected=connected))
+                for n in (12, 60, 300) for connected in (True, False))
+    yield _shifted_graph_op(rng)
+    yield assemble(_weighted_path(60, 3, m_spread=2.0))
+    yield assemble(build_graph(1, [], c=[2.0]))
+    yield assemble(build_graph(101, [(i, (i + 1) % 101, 1.0)
+                                     for i in range(101)]))
+    from conftest import _stiff_star
+    yield from (_stiff_star(h) for h in (0.06, 0.02, 0.008))
+
+
+@pytest.mark.parametrize("t", [1.0, 100.5])
+def test_series_of_minus_s_has_no_negative_entry(rng, t, single_edge, path3,
+                                                 path3_killed, k4,
+                                                 two_triangles):
+    # -tS has no negative entry off its diagonal; shifted by d it has none
+    # at all, and the series and squarings only add and multiply
+    # non-negative numbers
+    small = [assemble(g) for g in (single_edge, path3, path3_killed, k4,
+                                   two_triangles)]
+    for op in [*small, *_graph_families(rng)]:
+        for M in (op.S * -t, csr_array(op.S) * -t):
+            F, _ = series_expm(M)
+            assert np.all(F >= 0), op.n
+
+
+def test_series_of_a_multiple_of_the_identity_is_exact():
+    # d = 3 shifts -3 I to N = 0, whose series is I: e^{-3} I exactly, as
+    # the zero matrix (N = 0, d = 0) gives I in either format
+    for M in (csr_array((5, 5)), np.zeros((5, 5))):
+        F, s = series_expm(M)
+        assert s == 0 and F.tobytes() == np.eye(5).tobytes()
+    for M in (-3.0 * np.eye(5), csr_array(-3.0 * np.eye(5))):
+        F, s = series_expm(M)
+        assert s == 0 and F.tobytes() == (math.exp(-3.0) * np.eye(5)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_series_of_a_non_finite_matrix_names_it(bad):
+    M = np.zeros((3, 3))
+    M[0, 1] = bad
+    for given in (M, csr_array(M)):
+        with pytest.raises(NumericsError, match="no finite 1-norm"):
+            series_expm(given)
+
+
+def test_series_of_sparse_and_dense_input_agree(rng):
+    # the two formats evaluate the same sums in another order, which the
+    # squarings amplify with the conditioning of e^{-tS}; the sparse route
+    # also zeroes entries below sqrt(tiny) max|F| before squaring
+    eps = np.finfo(float).eps
+    for op in _graph_families(rng):
+        for t in (1.0, 100.5):
+            want, s = series_expm(op.S * -t)
+            got, s_sparse = series_expm(csr_array(op.S) * -t)
+            assert s_sparse == s
+            bound = (1e-13 + eps * t * op.s_norm1) * np.max(want)
+            assert np.max(np.abs(got - want)) <= bound
 
 
 def test_heat_kernel_single_edge(single_edge_op):
@@ -391,9 +518,9 @@ def test_unit_time_exponential_computed_once_per_operator(monkeypatch):
 
     def counted(M):
         calls.append(M.shape)
-        return pade13_expm(M)
+        return series_expm(M)
 
-    monkeypatch.setattr(semigroup, "pade13_expm", counted)
+    monkeypatch.setattr(semigroup, "series_expm", counted)
     g = random_graph(np.random.default_rng(7), n_max=12)
     op = assemble(g)
     assert op.n > 2
@@ -431,7 +558,7 @@ def _seeded_path(n=300):
 def _fully_squared(op, t, f):
     """Scaling-squaring e^{-tL} f with every squaring done on the matrix."""
     rs = np.sqrt(op.m)
-    return (pade13_expm(-t * op.S)[0] @ (rs * f)) / rs
+    return (series_expm(-t * op.S)[0] @ (rs * f)) / rs
 
 
 def _refused(*args, **kwargs):
@@ -441,7 +568,7 @@ def _refused(*args, **kwargs):
 @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0, 2.5, 10.5, 100.5])
 def test_powered_apply_matches_full_squaring_and_spectral(monkeypatch, t,
                                                           stiff_star_op):
-    # F^j v is the one route: no sparse LU of the Padé denominator, also on
+    # F^j v is the one route: no sparse LU, also on
     # the long path whose factors stay sparse
     monkeypatch.setattr(scipy.sparse.linalg, "splu", _refused)
     eps = np.finfo(float).eps
@@ -458,38 +585,26 @@ def test_powered_apply_matches_full_squaring_and_spectral(monkeypatch, t,
 
 
 def _csr_fully_squared(op, t, f):
-    """As _fully_squared, with S handed to pade13_expm in CSR format, the
+    """As _fully_squared, with S handed to series_expm in CSR format, the
     way the scaling-squaring apply hands it from n = 256 on."""
     rs = np.sqrt(op.m)
-    return (pade13_expm(csr_array(op.S) * -t)[0] @ (rs * f)) / rs
+    return (series_expm(csr_array(op.S) * -t)[0] @ (rs * f)) / rs
 
 
 def _dense(M):
     return M.toarray() if issparse(M) else M
 
 
-def _recorded_pade(monkeypatch):
+def _recorded_series(monkeypatch):
     calls = []
 
     def recorded(M):
-        out = pade13_expm(M)
+        out = series_expm(M)
         calls.append((M, out))
         return out
 
-    monkeypatch.setattr(semigroup, "pade13_expm", recorded)
+    monkeypatch.setattr(semigroup, "series_expm", recorded)
     return calls
-
-
-def _counted_factors(monkeypatch):
-    builds = []
-
-    def counted(M):
-        builds.append(M.shape)
-        return factors(M)
-
-    factors = semigroup._pade13_factors
-    monkeypatch.setattr(semigroup, "_pade13_factors", counted)
-    return builds
 
 
 def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
@@ -498,7 +613,7 @@ def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
              (assemble(build_graph(1, [], c=[2.0])), 10.5)]
     op = assemble(random_graph(rng, n_max=20))
     t = 2.0 / np.linalg.norm(op.S, 1)
-    assert pade13_expm(-t * op.S)[1] == 0
+    assert series_expm(-t * op.S)[1] == 0
     cases.append((op, t))
     for op, t in cases:
         f = random_vector(rng, op.n)
@@ -511,7 +626,7 @@ def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
     t = 2.0 / np.linalg.norm(op.S, 1)
     f = random_vector(rng, op.n)
     want = _csr_fully_squared(op, t, f)
-    calls = _recorded_pade(monkeypatch)
+    calls = _recorded_series(monkeypatch)
     npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING), want)
     (M, (_, squarings)), = calls
     assert issparse(M) and squarings == 0
@@ -520,16 +635,14 @@ def test_powered_apply_without_vector_factors_is_unchanged(monkeypatch, rng):
 
 def test_powered_apply_leaves_last_squarings_to_the_vector(
         monkeypatch, stiff_star_op, fine_star_op):
-    # the small star reaches pade13_expm dense, the large one in CSR format
+    # the small star reaches series_expm dense, the large one in CSR format
     for op, sparse in ((stiff_star_op, False), (fine_star_op, True)):
         assert sparse == (op.n >= 256)
         S = csr_array(op.S) if sparse else op.S
-        calls = _recorded_pade(monkeypatch)
-        builds = _counted_factors(monkeypatch)
+        calls = _recorded_series(monkeypatch)
         apply(op, 100.5, np.ones(op.n), SCALING_SQUARING)
         (M, (F, squarings)), = calls
-        assert len(builds) == 1
-        full, s = pade13_expm(S * -100.5)
+        full, s = series_expm(S * -100.5)
         k = s - squarings
         assert k == min(s, int(np.log2(op.n)) - 1) > 0
         assert issparse(M) == sparse
@@ -571,15 +684,14 @@ def test_whole_time_apply_powers_the_held_exponential(monkeypatch, rng,
         held = _held_exponential(op)
         kept = held.copy()
         f = np.random.default_rng(6).uniform(0.1, 1.0, op.n)
-        calls = _recorded_pade(monkeypatch)
-        builds = _counted_factors(monkeypatch)
+        calls = _recorded_series(monkeypatch)
         floors = []
         floor = semigroup._floor
         monkeypatch.setattr(semigroup, "_floor",
                             lambda F: floors.append(floor(F)))
         times = (2.0, 10.0, 100.0, 1000.0)
         got = {t: apply(op, t, f, SCALING_SQUARING) for t in times}
-        assert calls == [] and builds == []
+        assert calls == []
         # one floor per squaring, at most ceil(log2(j / 2^k)) squarings
         budget = 2 ** (op.n.bit_length() - 2)
         assert 0 < len(floors) <= sum(max(math.ceil(math.log2(t / budget)), 0)
@@ -610,7 +722,7 @@ def test_whole_time_apply_takes_integer_times(monkeypatch, path3):
     op = _held(assemble(path3))
     f = np.array([1.0, 0.0, 0.0])
     want = apply(op, 7.0, f, SCALING_SQUARING)
-    calls = _recorded_pade(monkeypatch)
+    calls = _recorded_series(monkeypatch)
     for t in (7, np.int64(7)):
         npt.assert_array_equal(apply(op, t, f, SCALING_SQUARING), want)
     assert calls == []
@@ -641,7 +753,7 @@ def test_whole_time_apply_names_unresolvable_time(monkeypatch, path3, t):
 def test_whole_time_apply_reports_an_overflowing_power(monkeypatch, path3):
     # E0 = -3: E^300 grows like e^900 and leaves the floating range
     op = _held(shift_by_potential(assemble(path3), np.full(3, 3.0)))
-    calls = _recorded_pade(monkeypatch)
+    calls = _recorded_series(monkeypatch)
     with pytest.raises(NumericsError, match=re.escape("t = 300.0")):
         apply(op, 300.0, [1.0, 0.0, 0.0], SCALING_SQUARING)
     assert calls == []
@@ -651,7 +763,7 @@ def test_whole_time_heat_kernel_runs_a_fresh_chain(monkeypatch, path3):
     # whole-time kernels stay independent of e^{-S}, so that
     # p_{t+s} = p_t p_s remains a check and not an identity
     op = _held(assemble(path3))
-    calls = _recorded_pade(monkeypatch)
+    calls = _recorded_series(monkeypatch)
     heat_kernel(op, 2.0, SCALING_SQUARING)
     assert len(calls) == 1
 
@@ -694,66 +806,45 @@ def test_pade13_sparse_input_agrees_with_dense(rng, stiff_star_op):
     eps = np.finfo(float).eps
     for op in ops:
         for t in (1.0, 10.0):
-            want, s = pade13_expm(-t * op.S)
-            got, s_sparse = pade13_expm(csr_array(op.S) * -t)
+            want, s = series_expm(-t * op.S)
+            got, s_sparse = series_expm(csr_array(op.S) * -t)
             assert isinstance(got, np.ndarray) and s_sparse == s
             bound = 1e-9 + 100 * eps * t * np.linalg.norm(op.S, 1)
             assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
-def test_pade13_factors_of_short_diameter_graph_come_back_dense():
+def _fitted(monkeypatch):
+    """The powers and partial sums of every series built from now on, as
+    ``semigroup._fit`` returns them."""
+    out = []
+    fit = semigroup._fit
+    monkeypatch.setattr(semigroup, "_fit",
+                        lambda P: out.append(fit(P)) or out[-1])
+    return out
+
+
+def test_pade13_factors_of_short_diameter_graph_come_back_dense(monkeypatch):
     rng = np.random.default_rng(11)
     op = assemble(random_graph(rng, n_max=200))
     while op.n < 100:
         op = assemble(random_graph(rng, n_max=200))
-    for factor in semigroup._pade13_factors(csr_array(-op.S)):
-        assert isinstance(factor, np.ndarray)
-    for factor in semigroup._pade13_factors(csr_array(-_seeded_path().S)):
-        assert issparse(factor)
+    fitted = _fitted(monkeypatch)
+    series_expm(csr_array(-op.S))
+    assert isinstance(fitted[-1], np.ndarray)
+    fitted.clear()
+    # a path's partial sums reach band width 24 on each side: below a
+    # tenth fill from n = 490 on
+    series_expm(csr_array(-_seeded_path(700).S))
+    assert fitted and all(issparse(P) for P in fitted)
 
 
-def _pade13_dense_reference(M):
-    """The body of pade13_expm before it took sparse input, kept verbatim."""
-    M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, 1)
-    squarings = 0
-    if norm > semigroup._THETA13:
-        squarings = int(math.ceil(math.log2(norm / semigroup._THETA13)))
-        M = M / (2.0 ** squarings)
-    b = semigroup._PADE13
-    ident = np.eye(M.shape[0])
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M2 @ M4
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
-    F = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        F = F @ F
-    return F, squarings
-
-
-def test_pade13_dense_input_is_unchanged(rng, stiff_star_op):
-    path = _seeded_path()
-    inputs = [-t * path.S for t in (1.0, 10.0, 100.0)]
-    inputs += [-stiff_star_op.S, np.zeros((5, 5)),
-               rng.standard_normal((30, 30)), -_shifted_graph_op(rng).S]
-    for M in inputs:
-        F, s = pade13_expm(M)
-        want, s_want = _pade13_dense_reference(M)
-        npt.assert_array_equal(F, want)
-        assert s == s_want
-
-
-def _unfloored_pade(M):
-    """pade13_expm of a sparse M, with the same factors and dense solve but
-    every squaring done on the matrix as it is; also returns the number of
-    entries below the squaring floor before the first squaring."""
-    _, s = pade13_expm(M)
-    P, Q = semigroup._pade13_factors(M / 2.0 ** s)
-    F = np.linalg.solve(Q.toarray(), P.toarray())
+def _unfloored_series(M):
+    """series_expm of a sparse M with every squaring done on the matrix as
+    it is: the series of M / 2^s, which takes no squaring, squared s times;
+    also the number of its entries below the squaring floor."""
+    _, s = series_expm(M)
+    F, unscaled = series_expm(M / 2.0 ** s)
+    assert unscaled == 0
     size = np.abs(F)
     below = int(np.sum(size < semigroup._SQUARING_FLOOR * size.max()))
     for _ in range(s):
@@ -767,8 +858,8 @@ def test_sparse_pade_floor_stays_below_the_approximation_error(t):
     # sqrt(tiny) max|F| and are zeroed before each squaring
     op = _seeded_path(700)
     M = csr_array(op.S) * -t
-    got, s = pade13_expm(M)
-    want, s_want, below = _unfloored_pade(M)
+    got, s = series_expm(M)
+    want, s_want, below = _unfloored_series(M)
     assert s == s_want and below > 0
     scale = np.max(np.abs(want))
     bound = op.n * 2.0 ** s * semigroup._SQUARING_FLOOR * scale
@@ -778,24 +869,28 @@ def test_sparse_pade_floor_stays_below_the_approximation_error(t):
 @pytest.mark.parametrize("t", [1.0, 100.0])
 def test_sparse_pade_floor_leaves_the_star_unchanged(fine_star_op, t):
     M = csr_array(fine_star_op.S) * -t
-    got, _ = pade13_expm(M)
-    want, _, below = _unfloored_pade(M)
+    got, _ = series_expm(M)
+    want, _, below = _unfloored_series(M)
     assert below > 0
     npt.assert_array_equal(got, want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sparse_pade_floor_keeps_overflow_visible():
-    # E0 < 0: e^{-tS} grows; the sparse factors of the path are floored
+def test_sparse_pade_floor_keeps_overflow_visible(monkeypatch):
+    # E0 < 0: e^{-tS} grows; the sparse-built series of the path is floored
     # before each squaring, and an infinite max |F| must not floor the
     # overflow away
     op = shift_by_potential(_seeded_path(), np.full(300, 3.0))
     t = 400.0
     s, S = semigroup._squarings(op, t), csr_array(op.S)
-    P, Q = semigroup._pade13_factors(S * (-t / 2.0 ** s))
-    assert issparse(P) and issparse(Q)
+    floors = []
+    floor = semigroup._floor
+    monkeypatch.setattr(semigroup, "_floor",
+                        lambda F: floors.append(floor(F)))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(pade13_expm(S * -t)[0]))
+        assert not np.all(np.isfinite(series_expm(S * -t)[0]))
+    assert len(floors) == s > 0
+    monkeypatch.undo()
     for evaluate in (lambda: apply(op, t, np.ones(op.n), SCALING_SQUARING),
                      lambda: heat_kernel(op, t, SCALING_SQUARING)):
         with pytest.raises(NumericsError, match=re.escape(f"t = {t}")):
