@@ -66,8 +66,6 @@ __all__ = [
     "positivity_improving",
 ]
 
-# entrywise positivity threshold relative to the largest entry
-_POSITIVITY_TOL = 1e-13
 _FACTORIZATION_TOL = 1e-9
 # max Phi above this detects E0 as an eigenvalue (groundstate_limit)
 _DETECTION_THRESHOLD = 1e-6
@@ -404,23 +402,21 @@ def strong_convergence_check(op: OperatorRep, f, grid) -> np.ndarray:
 def positivity_improving(op: OperatorRep) -> bool:
     """Entrywise positivity of e^{-L}, cross-checked two independent ways.
 
-    The verdict comes from the scaling-squaring exponential e^{-S},
-    recovered from the unit-time kernel as p_1(x, y) sqrt(m(x) m(y)); the
-    threshold is applied to e^{-S}, not to p_1, whose scale depends on
-    m.  It is cross-checked against entrywise positivity of the resolvent
-    at alpha = 1 - E0 and against graph connectivity.  Any disagreement
-    raises PositivityConnectivityMismatch, because for graphs these three
-    are provably the same thing.
+    The verdict is the strict sign, with no threshold, of every entry of
+    p_1 = D^{-1/2} e^{-S} D^{-1/2} by scaling-squaring, whose series adds
+    only non-negative terms: an entry is an exact 0 where no term reaches
+    it (across components, or past 24 2^s edges for s squarings) or where
+    it underflows.  It is cross-checked against the strict sign of the
+    resolvent at alpha = 1 - E0, built from products of non-negative
+    blocks, and against graph connectivity.  Any disagreement raises
+    PositivityConnectivityMismatch, because for graphs these three are
+    provably the same thing.
     """
     if op.graph is None:
         raise ValueError("operator carries no graph; cannot cross-check")
-    rs = np.sqrt(op.m)
-    E = heat_kernel(op, 1.0, SCALING_SQUARING).p
-    E *= np.outer(rs, rs)
-    kernel_verdict = bool(np.min(E) > _POSITIVITY_TOL * np.max(E))
-    del E
-    R = resolvent(op, 1.0 - eigendecompose(op).E0)
-    resolvent_verdict = bool(np.min(R) > _POSITIVITY_TOL * np.max(R))
+    kernel_verdict = bool(np.min(heat_kernel(op, 1.0, SCALING_SQUARING).p) > 0)
+    resolvent_verdict = bool(
+        np.min(resolvent(op, 1.0 - eigendecompose(op).E0)) > 0)
     connected = is_connected(op.graph)
     if kernel_verdict != connected or resolvent_verdict != connected:
         raise PositivityConnectivityMismatch(

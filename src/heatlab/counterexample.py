@@ -36,6 +36,7 @@ from .errors import (
     ResonantParameters,
     TruncationInsufficient,
 )
+from .graphs import reach
 from .operators import DENSE_LIMIT
 from .semigroup import check_count, check_time, series_expm
 from .asymptotics import RateEstimate, TimeGrid
@@ -239,23 +240,14 @@ def is_positivity_improving_shift(model: ShiftModel, t: float, *,
     non-negative terms, and its (x, y) entry is positive exactly when a
     chain of nonzero entries M(x, z1), ..., M(zk, y) leads from x to y.
     The verdict is therefore the strong connectivity of M's stored pattern
-    (Perron-Frobenius), the same at every t > 0 and decided without the
-    exponential, whose far entries can lie below the floating range
-    (about 1.2e-354 at N = 200 and t = 5): True with the feedback column,
-    False for the bare shift (N > 1).
+    (Perron-Frobenius): :func:`~heatlab.graphs.reach` from index 0 along
+    its rows and along its columns.  It is the same at every t > 0 and
+    decided without the exponential, whose far entries can lie below the
+    floating range (about 1.2e-354 at N = 200 and t = 5): True with the
+    feedback column, False for the bare shift (N > 1).
     """
     check_time(t, positive=True)
     pattern = (np.eye(model.N, k=1, dtype=bool) if shift_only
                else model.L1 != 0)
-    return _reaches_all(pattern) and _reaches_all(pattern.T)
-
-
-def _reaches_all(pattern: np.ndarray) -> bool:
-    """Whether every index is reached from index 0 along the True entries
-    of ``pattern``, each leading from its row to its column."""
-    seen, front = np.zeros((2, len(pattern)), dtype=bool)
-    front[0] = True
-    while front.any():
-        seen |= front
-        front = pattern[front].any(axis=0) & ~seen
-    return bool(seen.all())
+    return all(len(reach([np.flatnonzero(row) for row in P], 0)) == model.N
+               for P in (pattern, pattern.T))

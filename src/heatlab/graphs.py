@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,7 @@ __all__ = [
     "graph_to_dict",
     "load_graph",
     "dump_graph",
+    "reach",
     "is_connected",
     "components",
     "restrict",
@@ -282,34 +282,39 @@ def dump_graph(g: WeightedGraph, path) -> None:
         fh.write("\n")
 
 
+def reach(successors, start: int, seen=None) -> list[int]:
+    """The indices reached from ``start`` along ``successors[x]``, the
+    indices one step from x, in breadth-first order: the package's one
+    connectivity rule.  ``seen``, a boolean array marked in place, skips
+    what earlier calls reached, so a sweep over all starts is O(n + edges).
+    """
+    if seen is None:
+        seen = np.zeros(len(successors), dtype=bool)
+    seen[start] = True
+    order = [start]
+    for x in order:  # the list grows behind the loop: a queue
+        for y in successors[x]:
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+    return order
+
+
 def is_connected(g: WeightedGraph) -> bool:
     """Connectivity of the support of b (a single vertex is connected)."""
     return len(components(g)) == 1
 
 
 def components(g: WeightedGraph) -> list[list[int]]:
-    """Connected components as lists of vertex indices."""
+    """Connected components as sorted lists of vertex indices, ordered by
+    their smallest vertex, in O(n + edges)."""
     nbr: list[list[int]] = [[] for _ in range(g.n)]
     for i, j, _ in g.edges:
         nbr[i].append(j)
         nbr[j].append(i)
     seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in nbr[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    return [sorted(reach(nbr, start, seen)) for start in range(g.n)
+            if not seen[start]]
 
 
 def _subset_mask(g: WeightedGraph, subset) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Brute-force reference computations, deliberately naive.
 
-Everything here exists to cross-check the production paths with
-*different* algorithms:
+Everything here exists to cross-check the production paths:
 
-* :func:`taylor_expm` sums the Taylor series of e^{-tS} with a certified
-  remainder bound (the production paths use eigendecomposition, a
-  rational approximant, and Lanczos -- none of them a Taylor sum).
+* :func:`taylor_expm` sums the alternating Taylor series of e^{-tS} with
+  a certified remainder bound.  It is independent of the spectral
+  default that ``verify`` compares it with, but not of scaling-squaring,
+  whose :func:`~heatlab.semigroup.series_expm` is a Taylor sum too, of
+  the shifted, non-negative dI - tS.
 * :func:`rayleigh_min` approaches E0 variationally from above by random
   probing plus exact coordinate minimization of the Rayleigh quotient,
   never calling an eigensolver.

@@ -27,7 +27,8 @@ from heatlab.operators import (
     kernel_sum,
     spectral_measure,
 )
-from heatlab.semigroup import apply, heat_kernel, series_expm, trotter
+from heatlab.semigroup import (SCALING_SQUARING, apply, heat_kernel,
+                               resolvent, trotter)
 from heatlab.verify import random_graph, random_vector
 
 
@@ -382,30 +383,70 @@ def test_positivity_improving_examples(rng, two_triangles):
     assert positivity_improving(assemble(lone))
 
 
-def test_positivity_verdict_thresholds_the_exponential_of_minus_s():
-    # weighted paths of 10-23 vertices straddle the point where the far
-    # corner of e^{-S} drops below 1e-13 of its largest entry (D2); the
-    # verdict must follow e^{-S} itself, not p_1 = D^{-1/2} e^{-S} D^{-1/2}
+def test_positivity_verdict_is_a_strict_sign_on_weighted_paths():
+    # weighted paths of 10-23 vertices whose far corner of e^{-S} lies
+    # below 1e-13 of its largest entry on most draws: a threshold there
+    # answered "internal bug" on connected graphs, the strict sign does not
     rng = np.random.default_rng(np.uint64(20))
-    verdicts, p1_flips = [], 0
     for _ in range(120):
         n = int(rng.integers(10, 24))
         edges = [(k, k + 1, float(rng.uniform(0.2, 2.0)))
                  for k in range(n - 1)]
         op = assemble(build_graph(n, edges, m=rng.uniform(0.1, 5.0, n)))
-        E, _ = series_expm(-op.S)
-        positive = bool(np.min(E) > 1e-13 * np.max(E))
-        p1 = E / np.outer(np.sqrt(op.m), np.sqrt(op.m))
-        p1_flips += positive != bool(np.min(p1) > 1e-13 * np.max(p1))
-        verdicts.append(positive)
-        if positive:
-            assert positivity_improving(op) is True
-        else:
-            with pytest.raises(PositivityConnectivityMismatch):
-                positivity_improving(op)
-    assert 0 < sum(verdicts) < len(verdicts)
-    # the draw includes graphs on which a threshold on p_1 would disagree
-    assert p1_flips > 0
+        assert positivity_improving(op) is True
+    # past 24 2^s edges the series leaves exact zeros: only the kernel
+    # side of the unit 60-path still disagrees with connectivity
+    unit = assemble(build_graph(60, [(k, k + 1, 1.0) for k in range(59)]))
+    with pytest.raises(PositivityConnectivityMismatch,
+                       match="kernel positivity False, resolvent positivity"
+                             " True, connectivity True"):
+        positivity_improving(unit)
+
+
+def _interleaved_components(rng, n):
+    """A graph on n vertices in 2-4 components, each a random recursive
+    tree plus chords, its vertices shuffled so that the components
+    interleave, and the component of each vertex."""
+    cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(1, 4)),
+                              replace=False))
+    part, keys = np.empty(n, dtype=int), set()
+    for c, block in enumerate(np.split(rng.permutation(n), cuts)):
+        part[block] = c
+        pairs = [(x, block[rng.integers(0, a)])
+                 for a, x in enumerate(block[1:], 1)]
+        pairs += [rng.choice(block, 2) for _ in range(len(block) // 2)]
+        keys |= {(int(min(x, y)), int(max(x, y))) for x, y in pairs if x != y}
+    edges = [(x, y, float(rng.uniform(0.2, 2.0))) for x, y in sorted(keys)]
+    c = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 0.5, n), 0.0)
+    return build_graph(n, edges, m=rng.uniform(0.5, 2.0, n), c=c), part
+
+
+def test_cross_component_entries_are_exact_zeros():
+    # p_1 and the resolvent add only non-negative terms, so an entry
+    # between two components is an exact 0 and one within a component is
+    # > 0, up to n = 400, where the series is built from sparse S
+    rng = np.random.default_rng(32)
+    for n in [*rng.integers(5, 130, 24), 260, 330, 400]:
+        g, part = _interleaved_components(rng, int(n))
+        op = assemble(g)
+        within = part[:, None] == part[None, :]
+        for K in (heat_kernel(op, 1.0, SCALING_SQUARING).p,
+                  resolvent(op, 1.0 - eigendecompose(op).E0)):
+            assert np.all(K[~within] == 0) and np.all(K[within] > 0)
+        assert positivity_improving(op) is False
+
+
+def test_resolvent_has_no_negative_entry_under_a_spread_measure():
+    # m over 1e-3 .. 1e3 scales the entries of S + alpha far apart; the
+    # factor inverse still adds no negative rounding
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        g = random_graph(rng, n_max=400)
+        op = assemble(build_graph(g.vertices, [
+            (g.vertices[i], g.vertices[j], w) for i, j, w in g.edges],
+            m=10.0 ** rng.uniform(-3.0, 3.0, g.n), c=g.c))
+        assert np.min(resolvent(op, 1.0 - eigendecompose(op).E0)) > 0
+        assert positivity_improving(op) is True
 
 
 def test_totality_and_sandwich(rng):

@@ -28,6 +28,7 @@ from heatlab.errors import (
     UnknownVertex,
     ValidationError,
 )
+from heatlab.graphs import reach
 
 
 def test_build_basic(single_edge):
@@ -107,6 +108,19 @@ def test_connectivity(path3, two_triangles):
     assert not is_connected(two_triangles)
     comps = components(two_triangles)
     assert sorted(len(c) for c in comps) == [3, 3]
+
+
+def test_components_are_sorted_and_ordered_by_smallest_vertex():
+    # three interleaved components and an isolated vertex
+    g = build_graph(9, [(5, 0, 1.0), (2, 5, 1.0), (7, 1, 1.0), (3, 7, 1.0),
+                        (6, 4, 1.0)])
+    assert components(g) == [[0, 2, 5], [1, 3, 7], [4, 6], [8]]
+    assert not is_connected(g)
+    nbr = [[5], [7], [5], [7], [6], [0, 2], [4], [1, 3], []]
+    assert reach(nbr, 3) == [3, 7, 1]
+    seen = np.zeros(9, dtype=bool)
+    assert reach(nbr, 0, seen) == [0, 5, 2]
+    assert np.flatnonzero(seen).tolist() == [0, 2, 5]
 
 
 def test_connectivity_invariant_under_relabeling_and_scaling(rng):

@@ -363,15 +363,11 @@ def _calls_of(name) -> list[str]:
     return callers
 
 
-def test_one_matrix_exponential():
-    # the series exponential is the package's one builder of e^M: no name
-    # is left of the Padé approximant it replaced, semigroup runs no dense
-    # solve, and the series' callers are the held or fresh e^{-tS} and the
-    # two orbit routes of the shift model; the positivity verdict on the
-    # shift model reads the pattern of L1, not an exponential
-    package = Path(heatlab.__file__).parent
+def _package_names() -> set[str]:
+    """Every identifier the package names: variables, attributes,
+    definitions, imports and identifier-like string constants."""
     names = set()
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(Path(heatlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -382,7 +378,29 @@ def test_one_matrix_exponential():
             elif isinstance(node, ast.Constant) and isinstance(
                     node.value, str) and node.value.isidentifier():
                 names.add(node.value)
-    assert sorted(name for name in names if "pade" in name.lower()) == []
+    return names
+
+
+def test_connectivity_has_one_rule():
+    # graph connectivity (components, and is_connected through it) and
+    # the shift model's strong connectivity are both read off graphs.reach,
+    # the package's one breadth-first search: no other queue is left
+    assert sorted(_calls_of("reach")) == [
+        "counterexample.is_positivity_improving_shift", "graphs.components"]
+    assert _calls_of("components") == ["cli.cmd_positivity",
+                                       "graphs.is_connected"]
+    assert _package_names() & {"deque", "popleft", "_reaches_all"} == set()
+
+
+def test_one_matrix_exponential():
+    # the series exponential is the package's one builder of e^M: no name
+    # is left of the Padé approximant it replaced, semigroup runs no dense
+    # solve, and the series' callers are the held or fresh e^{-tS} and the
+    # two orbit routes of the shift model; the positivity verdict on the
+    # shift model reads the pattern of L1, not an exponential
+    assert sorted(name for name in _package_names()
+                  if "pade" in name.lower()) == []
+    package = Path(heatlab.__file__).parent
     tree = ast.parse((package / "semigroup.py").read_text())
     assert [ast.unparse(node.func) for node in ast.walk(tree)
             if isinstance(node, ast.Call)

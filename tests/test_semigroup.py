@@ -27,6 +27,7 @@ from heatlab.errors import (
     UnknownVertex,
     ValidationError,
 )
+from heatlab.metric_graphs import discretize, validate_metric_graph
 from heatlab.operators import eigendecompose, kernel_sum, shift_by_potential
 from heatlab.semigroup import (
     KRYLOV,
@@ -296,6 +297,38 @@ def test_krylov_apply_is_unchanged_by_the_direct_eigensolver(monkeypatch, t,
         assert got.tobytes() == want.tobytes()
 
 
+def test_krylov_stops_on_the_rounding_of_its_lowest_energy(monkeypatch):
+    # five Dirichlet arms of total length 5 at h = 0.01 (n ~ 500), the
+    # benchmark's star: at t = 1000 two steps cannot agree better than
+    # 100 eps t |E|, so a fixed 1e-13 target stopped on luck (14-30 steps
+    # on these seeds); the rounding model stops every one at 12
+    steps = []
+    stevd_eigh = semigroup._tridiagonal_eigh
+
+    def counted(*args):
+        steps[-1] += 1
+        return stevd_eigh(*args)
+
+    monkeypatch.setattr(semigroup, "_tridiagonal_eigh", counted)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(0.5, 1.5, 5)
+        lengths *= 5 / lengths.sum()
+        op = assemble(discretize(validate_metric_graph({
+            "vertices": [{"id": "o"}] + [
+                {"id": f"leaf{e}", "bc": "dirichlet"} for e in range(5)],
+            "edges": [{"id": f"e{e}", "i": "o", "j": f"leaf{e}",
+                       "l": float(length)}
+                      for e, length in enumerate(lengths)]}), 0.01))
+        f = rng.uniform(0.1, 1.0, op.n)
+        for t in (100.0, 1000.0):
+            steps.append(0)
+            _assert_krylov_matches_spectral(op, t, f)
+            npt.assert_allclose(apply(op, t, f, SCALING_SQUARING),
+                                apply(op, t, f), rtol=1e-9, atol=0)
+    assert steps[1::2] == [12] * 12
+
+
 def test_krylov_names_its_step_cap(monkeypatch, fine_star_op):
     monkeypatch.setattr(semigroup, "_KRYLOV_DIM", 4)
     f = np.random.default_rng(6).uniform(0.1, 1.0, fine_star_op.n)
@@ -494,6 +527,14 @@ def test_chapman_kolmogorov(rng, single_edge_op):
     assert chapman_kolmogorov_defect(single_edge_op, 0.5, 0.5) <= 1e-10
     op = assemble(random_graph(rng, n_max=30))
     assert chapman_kolmogorov_defect(op, 0.3, 1.7) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS, ids=TAGS)
+def test_chapman_kolmogorov_of_an_underflowed_kernel_is_zero(method):
+    # E0 = 2, so p_400 underflows to 0 and so does the composed product
+    op = assemble(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], c=[2.0] * 3))
+    assert chapman_kolmogorov_defect(op, 200.0, 200.0, method) == 0.0
 
 
 def test_disconnected_kernel_vanishes_exactly(two_triangles):
@@ -1164,6 +1205,15 @@ def test_trotter_rejects_bad_potential(path3):
             trotter(op, bad, 1.0, 4, f)
     with pytest.raises(ValueError, match=r"potential must have shape \(3,\)"):
         trotter(op, np.zeros(2), 1.0, 4, f)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("V, t", [((800.0, 0.0, 0.0), 1.0),
+                                  ((1.0, 0.0, 0.0), 1e3)])
+def test_trotter_names_an_overflowing_step_factor(path3, V, t):
+    # e^{hV} leaves the floating range at h V = 800 and h V = 1000
+    with pytest.raises(NumericsError, match=f"trotter at t = {t}, n = 1"):
+        trotter(assemble(path3), np.array(V), t, 1, np.ones(3))
 
 
 def test_trotter_rejects_a_non_finite_datum(path3, decompositions):
