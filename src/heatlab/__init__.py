@@ -55,7 +55,7 @@ from .semigroup import (
     series_expm,
     trotter,
 )
-from .reference import OracleReport, TaylorExpm, rayleigh_min, taylor_expm
+from .reference import OracleReport, contour_expm, rayleigh_min
 from .asymptotics import (
     GroundStateProfile,
     RateEstimate,
@@ -113,7 +113,7 @@ __all__ = [
     "HeatKernel", "apply", "heat_kernel", "kernel_column",
     "kernel_symmetry_defect", "chapman_kolmogorov_defect", "series_expm",
     "resolvent", "trotter",
-    "OracleReport", "TaylorExpm", "taylor_expm", "rayleigh_min",
+    "OracleReport", "contour_expm", "rayleigh_min",
     "TimeGrid", "RateEstimate", "GroundStateProfile", "rate_inner",
     "rate_kernel", "kernel_factorization_defects", "groundstate_limit",
     "strong_convergence_check", "positivity_improving",

@@ -84,6 +84,9 @@ class WeightedGraph:
         return len(self.vertices)
 
     def vertex_index(self, v: str | int) -> int:
+        # a bool is an int to Python, but names no vertex
+        if isinstance(v, bool):
+            raise UnknownVertex(f"vertex {v!r} is a bool, not an id or index")
         if isinstance(v, (int, np.integer)):
             i = int(v)
             if not 0 <= i < self.n:

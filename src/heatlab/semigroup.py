@@ -84,7 +84,7 @@ __all__ = [
 # N >= 0.  Paterson-Stockmeyer in blocks of five: N^2 .. N^5 and four
 # Horner steps in N^5 take eight products, a term-by-term sum 24
 _THETA = 2.0
-_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(25)])
+_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(25)])
 _BLOCK = 5
 # a power or partial sum of the series that stores more than this share of
 # its n^2 entries is converted to dense.  Series of e^{-S} timed on weighted
@@ -201,8 +201,8 @@ def series_expm(M) -> tuple[np.ndarray, int]:
     for _ in range(_BLOCK - 1):
         powers.append(_fit(powers[-1] @ N))
     top, F = powers.pop(), None  # N^5
-    for j in reversed(range(0, len(_TAYLOR), _BLOCK)):
-        block = sum(c * P for c, P in zip(_TAYLOR[j:], powers))
+    for j in reversed(range(0, len(_INV_FACTORIALS), _BLOCK)):
+        block = sum(c * P for c, P in zip(_INV_FACTORIALS[j:], powers))
         F = block if F is None else _fit(top @ F + block)
     F = F if isinstance(F, np.ndarray) else F.toarray()
     F *= math.exp(-d / 2.0 ** s)

@@ -2,9 +2,10 @@
 
 Every section pits an independent route against the production one on
 streams of seeded random graphs: kernel axioms against brute
-composition, all three semigroup evaluators against the certified
-Taylor exponential, the eigensolver's ground energy against Rayleigh
-descent, and the positivity verdict against plain connectivity.  The
+composition, the spectral default against the resolvent contour
+integral, scaling-squaring and Krylov against the spectral default, the
+eigensolver's ground energy against Rayleigh descent, and the
+positivity verdict against plain connectivity.  The
 suite is what `heatlab verify` runs and what the acceptance tests
 reuse; identical seeds give identical reports.
 """
@@ -23,10 +24,11 @@ from .semigroup import (
     SPECTRAL,
     apply,
     chapman_kolmogorov_defect,
+    check_count,
     heat_kernel,
     kernel_symmetry_defect,
 )
-from .reference import OracleReport, rayleigh_min, taylor_expm
+from .reference import OracleReport, contour_expm, rayleigh_min
 from .asymptotics import positivity_improving
 
 __all__ = [
@@ -51,11 +53,12 @@ def random_graph(rng: np.random.Generator, n_max: int = 50, *,
 
     With ``connected=False`` two independently connected blocks are
     built with no edges between them, giving a graph whose
-    disconnection is structural rather than accidental.
+    disconnection is structural rather than accidental.  ``n_max`` is
+    an integer >= 2, else ValidationError.
     """
+    check_count(n_max, "n_max", 2)
     n = int(rng.integers(2, n_max + 1))
     if not connected:
-        n = max(n, 2)
         n1 = int(rng.integers(1, n))
         blocks = [(0, n1), (n1, n)]
     else:
@@ -133,7 +136,12 @@ def kernel_axioms_section(seed: int = 0, count: int = 100) -> SectionResult:
 
 def taylor_agreement_section(seed: int = 0, count: int = 100
                              ) -> SectionResult:
-    """Production evaluators against the certified Taylor exponential."""
+    """The spectral default's apply and heat kernel, on the operator and
+    on a truncated shift of it, against the contour-integral exponential.
+
+    The name stays because the benchmark battery calls this function by
+    name.
+    """
 
     def maker(rng):
         for i in range(count):
@@ -145,22 +153,22 @@ def taylor_agreement_section(seed: int = 0, count: int = 100
             shifted = shift_by_potential(op, np.minimum(V, k))
             for t in (0.1, 1.0, 10.0):
                 rs = np.sqrt(op.m)
-                E = taylor_expm(op.S, t)
-                expected = (E.matrix @ (rs * f)) / rs
+                E = contour_expm(op.S, t)
+                expected = (E @ (rs * f)) / rs
                 got = apply(op, t, f)
                 yield OracleReport.compare(
                     f"apply n={op.n} t={t} #{i}", 0.0,
                     op.norm(got - expected) / op.norm(expected),
                     1e-9, seed)
                 kernel = heat_kernel(op, t).p
-                oracle_kernel = E.matrix / np.outer(rs, rs)
+                oracle_kernel = E / np.outer(rs, rs)
                 scale = float(np.max(np.abs(oracle_kernel)))
                 yield OracleReport.compare(
                     f"heat_kernel n={op.n} t={t} #{i}", 0.0,
                     float(np.max(np.abs(kernel - oracle_kernel))) / scale,
                     1e-9, seed)
-                Es = taylor_expm(shifted.S, t)
-                expected_s = (Es.matrix @ (rs * f)) / rs
+                Es = contour_expm(shifted.S, t)
+                expected_s = (Es @ (rs * f)) / rs
                 got_s = apply(shifted, t, f)
                 yield OracleReport.compare(
                     f"truncated n={op.n} t={t} #{i}", 0.0,

@@ -408,3 +408,26 @@ def test_one_matrix_exponential():
     assert sorted(_calls_of("series_expm")) == [
         "counterexample.counterexample_rate", "counterexample.shift_orbit",
         "semigroup._exponential"]
+
+
+def test_the_oracle_shares_no_algorithm_with_production():
+    # the e^{-tS} oracle is a contour integral of the resolvent: no name
+    # is left of the Taylor oracle it replaced but the verify section the
+    # benchmark calls by name, reference takes only the input rules from
+    # the package, and it calls no eigenvector solver, factorization or
+    # matrix exponential; eigvalsh gives the contour's shift alone
+    assert sorted(name for name in _package_names()
+                  if "taylor" in name.lower()) == ["taylor_agreement_section"]
+    path = Path(heatlab.__file__).parent / "reference.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "heatlab"
+                    for alias in node.names)] == []
+    assert sorted(alias.name for node in ast.walk(tree)
+                  if _is_package_import(node)
+                  for alias in node.names) == ["check_count", "check_time"]
+    called = [ast.unparse(node.func).split(".")[-1]
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert set(called) & {"eigh", "series_expm", "splu", "cholesky",
+                          "expm"} == set()
+    assert called.count("eigvalsh") == 1

@@ -4,7 +4,8 @@ import pytest
 
 from heatlab import assemble, build_graph
 from heatlab.operators import eigendecompose, shift_by_potential
-from heatlab.reference import OracleReport, rayleigh_min, taylor_expm
+from heatlab.errors import ValidationError
+from heatlab.reference import OracleReport, contour_expm, rayleigh_min
 from heatlab.verify import random_graph
 
 # lambda0 of the single edge with V = (3, 0): bottom root of
@@ -13,38 +14,50 @@ from heatlab.verify import random_graph
 EDGE_WELL_LAMBDA0 = (-1.0 - np.sqrt(13.0)) / 2.0
 
 
-def test_taylor_zero_matrix():
-    rep = taylor_expm(np.zeros((3, 3)), 1.0)
-    npt.assert_array_equal(rep.matrix, np.eye(3))
-    assert rep.bound <= 1e-14
+def test_contour_zero_matrix():
+    npt.assert_allclose(contour_expm(np.zeros((3, 3)), 1.0), np.eye(3),
+                        rtol=0, atol=1e-13)
 
 
-def test_taylor_scalar():
-    rep = taylor_expm(np.array([[2.0]]), 1.0)
-    assert rep.matrix[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-14)
+def test_contour_scalar():
+    assert contour_expm(np.array([[2.0]]), 1.0)[0, 0] == pytest.approx(
+        np.exp(-2.0), rel=1e-13)
 
 
-def test_taylor_single_edge_closed_form(single_edge_op):
-    rep = taylor_expm(single_edge_op.S, 1.0)
+def test_contour_single_edge_closed_form(single_edge_op):
     e = np.exp(-2.0)
     want = np.array([[(1 + e) / 2, (1 - e) / 2], [(1 - e) / 2, (1 + e) / 2]])
-    npt.assert_allclose(rep.matrix, want, atol=1e-13)
+    npt.assert_allclose(contour_expm(single_edge_op.S, 1.0), want,
+                        rtol=0, atol=1e-13)
 
 
-def test_taylor_certified_bound_and_splitting(rng):
-    # a large-norm input forces halving; the certificate must hold anyway
+def test_contour_unit_path_closed_form(path3):
+    # L of the unit 3-path has eigenvalues 0, 1, 3 with the spectral
+    # projections below; t spans fifteen decades
+    ones, odd, even = (np.array(v, dtype=float) for v in
+                       ((1, 1, 1), (1, 0, -1), (1, -2, 1)))
+    P = [np.outer(v, v) / (v @ v) for v in (ones, odd, even)]
+    op = assemble(path3)
+    for t in np.logspace(-12, 3, 16):
+        want = P[0] + np.exp(-t) * P[1] + np.exp(-3.0 * t) * P[2]
+        npt.assert_allclose(contour_expm(op.S, t), want, rtol=0, atol=1e-13,
+                            err_msg=f"t = {t}")
+
+
+def test_contour_matches_eigh_at_a_long_time(rng):
+    # a killing rate up to 2 puts t(S - E0) far out on the real axis
     op = assemble(random_graph(rng, n_max=20, c_scale=2.0))
-    rep = taylor_expm(op.S, 25.0)
-    assert rep.splits > 0
-    assert rep.terms <= 120
-    # per-factor series truncation is certified at 1e-14; squarings
-    # propagate it but it must stay far inside the 1e-9 oracle budget
-    assert rep.bound <= 1e-10
     sd = eigendecompose(op)
     D = np.diag(np.sqrt(op.m))
     expS = D @ sd.vectors @ np.diag(np.exp(-25.0 * sd.eigenvalues)) \
         @ sd.vectors.T @ D
-    npt.assert_allclose(rep.matrix, expS, atol=1e-11)
+    got = contour_expm(op.S, 25.0)
+    assert np.linalg.norm(got - expS) <= 1e-12 * np.linalg.norm(expS)
+
+
+def test_contour_follows_the_time_rule(single_edge_op):
+    with pytest.raises(ValidationError, match="time t = nan is not finite"):
+        contour_expm(single_edge_op.S, float("nan"))
 
 
 def test_rayleigh_diagonal():
@@ -72,6 +85,12 @@ def test_rayleigh_upper_bounds_e0(rng):
         val = rayleigh_min(op, samples=100, seed=3)
         assert val >= e0 - 1e-10 * (1 + abs(e0))
         assert val - e0 <= 1e-6
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
+def test_rayleigh_rejects_a_bad_sample_count(single_edge_op, samples):
+    with pytest.raises(ValidationError, match="samples = .* is not an integer"):
+        rayleigh_min(single_edge_op, samples=samples)
 
 
 def test_oracle_report_pass_logic():

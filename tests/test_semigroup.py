@@ -523,6 +523,16 @@ def test_kernel_column_resolves_its_vertex(path3):
             kernel_column(op, 1.0, y)
 
 
+def test_a_bool_names_no_vertex(path3):
+    # True == 1 to Python; read as an index it would pick vertex "2"
+    op = assemble(path3)
+    for v in (True, False):
+        with pytest.raises(UnknownVertex, match="is a bool"):
+            kernel_column(op, 1.0, v)
+        with pytest.raises(UnknownVertex, match="is a bool"):
+            rate_kernel(op, v, 0, TimeGrid.geometric(1.0, 8.0, 4))
+
+
 def test_chapman_kolmogorov(rng, single_edge_op):
     assert chapman_kolmogorov_defect(single_edge_op, 0.5, 0.5) <= 1e-10
     op = assemble(random_graph(rng, n_max=30))

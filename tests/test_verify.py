@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from heatlab import is_connected, run_suite
+from heatlab.errors import ValidationError
 from heatlab.verify import (
     SectionResult,
     kernel_axioms_section,
@@ -28,6 +29,12 @@ def test_random_graph_disconnected_blocks(rng):
             assert not is_connected(g)
             hit = True
     assert hit
+
+
+@pytest.mark.parametrize("n_max", [1, 0, 2.5, True])
+def test_random_graph_rejects_a_bad_size_bound(rng, n_max):
+    with pytest.raises(ValidationError, match="n_max = .* is not an integer"):
+        random_graph(rng, n_max)
 
 
 def test_random_vector_positive_and_nonzero(rng):
